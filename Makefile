@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke fmt vet smoke-cluster smoke-store smoke-serve smoke-tools ci
+.PHONY: build test race bench bench-smoke fuzz-smoke fmt vet smoke-cluster smoke-store smoke-serve smoke-tools ci
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,13 @@ bench:
 bench-smoke:
 	$(GO) test -short -bench . -benchtime=1x -run '^$$' ./...
 
+# Ten seconds of real fuzzing per wire-decoding fuzzer: the seed
+# corpora already run as plain tests in `race`; this explores past
+# them. -run '^$$' skips the package's unit tests.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleBody$$' -fuzztime 10s ./internal/cluster/
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -84,4 +91,4 @@ smoke-tools:
 	$(GO) run ./cmd/freshsim >/dev/null
 	$(GO) run ./cmd/webevo -pages 60 -days 30 >/dev/null
 
-ci: build vet fmt race bench-smoke bench smoke-cluster smoke-store smoke-serve smoke-tools
+ci: build vet fmt race bench-smoke fuzz-smoke bench smoke-cluster smoke-store smoke-serve smoke-tools

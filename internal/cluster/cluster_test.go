@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"net"
 	"strings"
 	"testing"
 
@@ -11,63 +14,52 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	for _, ver := range []byte{helloProto, ProtoVersion} {
-		var buf bytes.Buffer
-		body := []byte("hello shard world")
-		wrote, err := writeFrame(&buf, ver, opPush, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wrote != buf.Len() {
-			t.Fatalf("v%d: writeFrame reported %d bytes, wrote %d", ver, wrote, buf.Len())
-		}
-		gotVer, kind, got, wire, err := readFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotVer != ver || kind != opPush || !bytes.Equal(got, body) {
-			t.Fatalf("frame mangled: ver=%d kind=%d body=%q", gotVer, kind, got)
-		}
-		if wire != wrote {
-			t.Fatalf("v%d: readFrame consumed %d bytes, writeFrame wrote %d", ver, wire, wrote)
-		}
-	}
-}
-
-// TestFrameCompression pins the v6 compression flag: a large repetitive
-// body ships smaller than raw under v6 and still round-trips, while the
-// same body under v5 stays raw.
-func TestFrameCompression(t *testing.T) {
-	body := bytes.Repeat([]byte("http://site000.com/page "), 200)
-	var v6 bytes.Buffer
-	n6, err := writeFrame(&v6, ProtoVersion, opPushBatch, body)
+	var buf bytes.Buffer
+	body := []byte("hello shard world")
+	wrote, err := writeFrame(&buf, opPush, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n6 >= len(body) {
-		t.Fatalf("v6 frame (%dB) did not compress a %dB repetitive body", n6, len(body))
+	if wrote != buf.Len() {
+		t.Fatalf("writeFrame reported %d bytes, wrote %d", wrote, buf.Len())
 	}
-	_, _, got, _, err := readFrame(&v6)
+	kind, got, wire, err := readFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != opPush || !bytes.Equal(got, body) {
+		t.Fatalf("frame mangled: kind=%d body=%q", kind, got)
+	}
+	if wire != wrote {
+		t.Fatalf("readFrame consumed %d bytes, writeFrame wrote %d", wire, wrote)
+	}
+}
+
+// TestFrameCompression pins the compression flag: a large repetitive
+// body ships smaller than raw and still round-trips.
+func TestFrameCompression(t *testing.T) {
+	body := bytes.Repeat([]byte("http://site000.com/page "), 200)
+	var buf bytes.Buffer
+	n, err := writeFrame(&buf, opPushBatch, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n >= len(body) {
+		t.Fatalf("frame (%dB) did not compress a %dB repetitive body", n, len(body))
+	}
+	_, got, _, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, body) {
 		t.Fatal("compressed body did not round-trip")
 	}
-	var v5 bytes.Buffer
-	n5, err := writeFrame(&v5, helloProto, opPushBatch, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n5 < len(body) {
-		t.Fatalf("v5 frame compressed (%dB < %dB body): pre-v6 peers cannot inflate", n5, len(body))
-	}
 }
 
 func TestFrameRejectsCorruption(t *testing.T) {
 	frame := func() []byte {
 		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, helloProto, opPush, []byte("payload")); err != nil {
+		if _, err := writeFrame(&buf, opPush, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -75,26 +67,73 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	// Flipped payload byte: CRC must catch it.
 	b := frame()
 	b[len(b)-1] ^= 0xff
-	if _, _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
+	if _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
 		t.Fatal("corrupt payload accepted")
 	}
-	// Wrong protocol version.
-	b = frame()
-	b[8] = ProtoVersion + 1
-	// Recompute the CRC so only the version check can object.
-	var rewritten bytes.Buffer
-	rewritten.Write(b[:4])
-	crc := crc32IEEE(b[8:])
-	rewritten.Write(crc)
-	rewritten.Write(b[8:])
-	_, _, _, _, err := readFrame(&rewritten)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch not rejected: %v", err)
+	// Wrong protocol version, older and newer.
+	for _, ver := range []byte{ProtoVersion - 1, ProtoVersion + 1} {
+		b = frame()
+		b[8] = ver
+		// Recompute the CRC so only the version check can object.
+		var rewritten bytes.Buffer
+		rewritten.Write(b[:4])
+		crc := crc32IEEE(b[8:])
+		rewritten.Write(crc)
+		rewritten.Write(b[8:])
+		_, _, _, err := readFrame(&rewritten)
+		want := fmt.Sprintf("protocol version %d, this build speaks only version %d", ver, ProtoVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d not rejected with %q: %v", ver, want, err)
+		}
 	}
 	// Truncated frame.
 	b = frame()
-	if _, _, _, _, err := readFrame(bytes.NewReader(b[:len(b)-3])); err == nil {
+	if _, _, _, err := readFrame(bytes.NewReader(b[:len(b)-3])); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+}
+
+// TestServerAnswersOtherVersion: a frame of another protocol version,
+// sent to either server kind, gets a statusError naming both versions,
+// and then the server closes the connection — so a peer from another
+// build fails its hello with a clear error instead of a silent drop.
+func TestServerAnswersOtherVersion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		srv  interface {
+			Pipe() (net.Conn, error)
+			Close() error
+		}
+		hello byte
+	}{
+		{"shard", NewShardServer(frontier.NewSharded(2)), opHello},
+		{"store", NewMemStoreServer(), opStoreHello},
+	} {
+		for _, ver := range []byte{ProtoVersion - 1, ProtoVersion + 1} {
+			t.Run(fmt.Sprintf("%s/v%d", tc.name, ver), func(t *testing.T) {
+				conn, err := tc.srv.Pipe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				// A hello in the pre-v6 layout: version, kind, no flags.
+				if _, err := conn.Write(rawFrame([]byte{ver, tc.hello})); err != nil {
+					t.Fatal(err)
+				}
+				status, body, _, err := readFrame(conn)
+				if err != nil {
+					t.Fatalf("no answer to a v%d frame: %v", ver, err)
+				}
+				want := fmt.Sprintf("protocol version %d, this build speaks only version %d", ver, ProtoVersion)
+				if status != statusError || !strings.Contains(string(body), want) {
+					t.Fatalf("answer = (%d, %q), want statusError naming %q", status, body, want)
+				}
+				if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+					t.Fatalf("connection still open after a v%d frame: %v", ver, err)
+				}
+			})
+		}
+		tc.srv.Close()
 	}
 }
 
@@ -413,7 +452,5 @@ func TestRemoteStickyError(t *testing.T) {
 
 // crc32IEEE is a test helper returning the little-endian CRC bytes.
 func crc32IEEE(b []byte) []byte {
-	var e enc
-	e.u32(crc32.ChecksumIEEE(b))
-	return e.b
+	return binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(b))
 }

@@ -9,21 +9,20 @@ import (
 	"webevolve/internal/frontier"
 )
 
-// validFrame builds a well-formed frame tagged ver for seeding the
-// fuzzers.
-func validFrame(t testing.TB, ver, kind byte, body []byte) []byte {
+// validFrame builds a well-formed frame for seeding the fuzzers.
+func validFrame(t testing.TB, kind byte, body []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, ver, kind, body); err != nil {
+	if _, err := writeFrame(&buf, kind, body); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// prefixLieBody builds a v6 push-batch body whose single front-coded
+// prefixLieBody builds a push-batch body whose single front-coded
 // entry claims a 64-byte shared prefix against an empty previous URL.
 func prefixLieBody(reqID uint64) []byte {
-	e := newEnc(ProtoVersion)
+	var e enc
 	e.fix64(reqID)
 	e.uvarint(1)  // one entry
 	e.uvarint(64) // shared prefix longer than prev ("")
@@ -48,39 +47,50 @@ func rawFrame(payload []byte) []byte {
 // FuzzDecodeFrame throws arbitrary byte streams at the frame reader
 // and, when a frame decodes, at the request handler: truncated frames,
 // flipped bits, oversized lengths, truncated varints, front-coding
-// lies, hostile compression headers and unknown ops must all surface
-// as errors (or error responses), never as panics or hangs.
+// lies, hostile compression headers, frames of other protocol versions
+// and unknown ops must all surface as errors (or error responses),
+// never as panics or hangs.
 func FuzzDecodeFrame(f *testing.F) {
-	for _, ver := range []byte{helloProto, ProtoVersion} {
-		push := newEnc(ver)
-		push.fix64(7).str("http://site001.com/a").f64(1).f64(2)
-		f.Add(validFrame(f, ver, opPush, push.b))
-		batch := newEnc(ver)
-		batch.fix64(8)
-		encodeEntries(&batch, []frontier.Entry{
-			{URL: "http://site001.com/a", Due: 1},
-			{URL: "http://site001.com/b", Due: 2, Priority: 1},
-		})
-		f.Add(validFrame(f, ver, opPushBatch, batch.b))
-	}
+	var push enc
+	push.fix64(7).str("http://site001.com/a").f64(1).f64(2)
+	f.Add(validFrame(f, opPush, push.b))
+	var batch enc
+	batch.fix64(8)
+	encodeEntries(&batch, []frontier.Entry{
+		{URL: "http://site001.com/a", Due: 1},
+		{URL: "http://site001.com/b", Due: 2, Priority: 1},
+	})
+	f.Add(validFrame(f, opPushBatch, batch.b))
 	var hello enc
 	hello.bool(true).f64(0.5).bool(true)
-	f.Add(validFrame(f, helloProto, opHello, hello.b))
-	f.Add(validFrame(f, helloProto, opHello, append(hello.b, ProtoVersion)))
-	f.Add(validFrame(f, helloProto, opLen, nil))
-	f.Add(validFrame(f, ProtoVersion, 0xEE, []byte("unknown op")))
+	f.Add(validFrame(f, opHello, hello.b))
+	var quietHello enc
+	quietHello.bool(false).bool(false)
+	f.Add(validFrame(f, opHello, quietHello.b))
+	f.Add(validFrame(f, opLen, nil))
+	f.Add(validFrame(f, 0xEE, []byte("unknown op")))
+	var round enc
+	round.fix64(14)
+	encodeStrings(&round, "", []string{"http://site001.com/a"})
+	encodeStrings(&round, "", nil)
+	encodeEntries(&round, []frontier.Entry{{URL: "http://site001.com/b", Due: 3}})
+	round.u32(8)
+	f.Add(validFrame(f, opRound, round.b))
+	var export enc
+	export.fix64(15).u32(1024).u32(2).u32(3).u32(700).str("").u32(16)
+	f.Add(validFrame(f, opShardExport, export.b))
 
 	// A compressed frame (body above compressMin so writeFrame deflates).
-	big := newEnc(ProtoVersion)
+	var big enc
 	big.fix64(9)
 	var ents []frontier.Entry
 	for i := 0; i < 64; i++ {
 		ents = append(ents, frontier.Entry{URL: "http://site000.com/page/000000000000", Due: float64(i)})
 	}
 	encodeEntries(&big, ents)
-	f.Add(validFrame(f, ProtoVersion, opPushBatch, big.b))
+	f.Add(validFrame(f, opPushBatch, big.b))
 
-	whole := validFrame(f, ProtoVersion, opPush, []byte("x"))
+	whole := validFrame(f, opPush, []byte("x"))
 	// Truncated frame.
 	f.Add(whole[:len(whole)-3])
 	// Flipped payload byte (CRC must object).
@@ -92,7 +102,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[0:4], maxFrame+1)
 	f.Add(huge)
 
-	// Truncated varint: a v6 body ending mid-uvarint (0x80 promises a
+	// Truncated varint: a body ending mid-uvarint (0x80 promises a
 	// continuation byte that never comes).
 	f.Add(rawFrame([]byte{ProtoVersion, opLen, 0, 0x80}))
 	// Front-coding lie: shared-prefix-len 200 against an empty previous
@@ -113,70 +123,83 @@ func FuzzDecodeFrame(f *testing.F) {
 	b := short.Bytes()
 	b[3] = 0x60 // declare 96 inflated bytes; the stream holds 4
 	f.Add(rawFrame(b))
-	// Compression flag on a pre-v6 frame (no flags byte exists there —
-	// the byte is body content and must decode as such, not inflate).
-	f.Add(rawFrame([]byte{helloProto, opLen, flagCompressed}))
+	// Intact frames of an older and a newer protocol version.
+	f.Add(rawFrame([]byte{ProtoVersion - 1, opLen, 0}))
+	f.Add(rawFrame([]byte{ProtoVersion + 1, opLen, 0}))
 
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ver, kind, body, _, err := readFrame(bytes.NewReader(data))
+		kind, body, _, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		srv := NewShardServer(frontier.NewSharded(2))
-		status, resp := srv.handle(ver, kind, body)
+		status, resp := srv.handle(kind, body)
 		if status != statusOK && status != statusError {
 			t.Fatalf("handle returned status %d (resp %q)", status, resp)
 		}
 	})
 }
 
-// FuzzHandleBody drives every opcode with arbitrary bodies directly
-// under both encodings: the decode layer's poisoning must turn any
-// malformed body into an error response, not a panic.
+// FuzzHandleBody drives every opcode with arbitrary bodies directly:
+// the decode layer's poisoning must turn any malformed body into an
+// error response, not a panic.
 func FuzzHandleBody(f *testing.F) {
-	for _, v6 := range []bool{false, true} {
-		ver := byte(helloProto)
-		if v6 {
-			ver = ProtoVersion
-		}
-		push := newEnc(ver)
-		push.fix64(9).str("http://site001.com/a").f64(1).f64(2)
-		f.Add(v6, opPush, push.b)
-		batch := newEnc(ver)
-		batch.fix64(10)
-		encodeEntries(&batch, []frontier.Entry{
-			{URL: "http://site001.com/a", Due: 1},
-			{URL: "http://site002.com/b", Due: 2, Priority: 1},
-		})
-		f.Add(v6, opPushBatch, batch.b)
-		// Batch claiming 4 billion entries with a 30-byte body.
-		lying := newEnc(ver)
-		lying.fix64(11).u32(0xFFFFFFFF).str("http://site001.com/a")
-		f.Add(v6, opPushBatch, lying.b)
-		pop := newEnc(ver)
-		pop.fix64(12).f64(3)
-		f.Add(v6, opPopDue, pop.b)
-		f.Add(v6, opClaimDue, pop.b)
-	}
-	f.Add(false, opRelease, []byte{1, 2, 3})
-	f.Add(false, opHello, []byte{1})
-	f.Add(true, byte(0xEE), []byte("unknown"))
-	f.Add(true, opRemove, []byte{})
+	var push enc
+	push.fix64(9).str("http://site001.com/a").f64(1).f64(2)
+	f.Add(opPush, push.b)
+	var batch enc
+	batch.fix64(10)
+	encodeEntries(&batch, []frontier.Entry{
+		{URL: "http://site001.com/a", Due: 1},
+		{URL: "http://site002.com/b", Due: 2, Priority: 1},
+	})
+	f.Add(opPushBatch, batch.b)
+	// Batch claiming 4 billion entries with a 30-byte body.
+	var lying enc
+	lying.fix64(11).u32(0xFFFFFFFF).str("http://site001.com/a")
+	f.Add(opPushBatch, lying.b)
+	var pop enc
+	pop.fix64(12).f64(3)
+	f.Add(opPopDue, pop.b)
+	f.Add(opClaimDue, pop.b)
+	f.Add(opRelease, []byte{1, 2, 3})
+	f.Add(opHello, []byte{1})
+	f.Add(byte(0xEE), []byte("unknown"))
+	f.Add(opRemove, []byte{})
 	// Truncated uvarint count.
-	f.Add(true, opPushBatch, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0x80})
+	f.Add(opPushBatch, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0x80})
 	// Front-coded entry whose shared prefix exceeds the previous URL.
-	f.Add(true, opPushBatch, prefixLieBody(13))
+	f.Add(opPushBatch, prefixLieBody(13))
+	var head enc
+	head.f64(3).bool(true)
+	f.Add(opHeadDue, head.b)
+	var release enc
+	release.fix64(14).u32(1).f64(4)
+	f.Add(opRelease, release.b)
+	var round enc
+	round.fix64(15)
+	encodeStrings(&round, "", []string{"http://site001.com/a"})
+	encodeStrings(&round, "", []string{"http://site002.com/b"})
+	encodeEntries(&round, []frontier.Entry{{URL: "http://site001.com/c", Due: 5}})
+	round.u32(4)
+	f.Add(opRound, round.b)
+	// Export of three partitions out of 1024, chunked after a cursor.
+	var export enc
+	export.fix64(16).u32(1024).u32(3).u32(1).u32(2).u32(3).str("http://site001.com/a").u32(8)
+	f.Add(opShardExport, export.b)
+	// Import of one entry plus one dedup pair.
+	var imp enc
+	imp.fix64(17)
+	encodeEntries(&imp, []frontier.Entry{{URL: "http://site003.com/a", Due: 6}})
+	imp.u32(1).fix64(99).u8(statusOK).bytes([]byte{1})
+	f.Add(opShardImport, imp.b)
 
-	f.Fuzz(func(t *testing.T, v6 bool, op byte, body []byte) {
-		ver := byte(helloProto)
-		if v6 {
-			ver = ProtoVersion
-		}
+	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		srv := NewShardServer(frontier.NewSharded(2))
-		status, resp := srv.handle(ver, op, body)
+		status, resp := srv.handle(op, body)
 		if status != statusOK && status != statusError {
 			t.Fatalf("handle(%d) returned status %d (resp %q)", op, status, resp)
 		}
@@ -188,11 +211,11 @@ func FuzzHandleBody(f *testing.F) {
 func TestCorruptionTable(t *testing.T) {
 	var push enc
 	push.fix64(7).str("http://site001.com/a").f64(1).f64(2)
-	whole := validFrame(t, helloProto, opPush, push.b)
+	whole := validFrame(t, opPush, push.b)
 
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 0; cut < len(whole); cut++ {
-			if _, _, _, _, err := readFrame(bytes.NewReader(whole[:cut])); err == nil {
+			if _, _, _, err := readFrame(bytes.NewReader(whole[:cut])); err == nil {
 				t.Fatalf("truncation at %d accepted", cut)
 			}
 		}
@@ -200,13 +223,13 @@ func TestCorruptionTable(t *testing.T) {
 	t.Run("oversized length", func(t *testing.T) {
 		b := append([]byte(nil), whole...)
 		binary.LittleEndian.PutUint32(b[0:4], maxFrame+1)
-		if _, _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
+		if _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
 			t.Fatal("oversized length accepted")
 		}
 	})
 	t.Run("unknown flag bits", func(t *testing.T) {
 		b := rawFrame([]byte{ProtoVersion, opLen, 0xFE})
-		if _, _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
+		if _, _, _, err := readFrame(bytes.NewReader(b)); err == nil {
 			t.Fatal("unknown flag bits accepted")
 		}
 	})
@@ -215,7 +238,7 @@ func TestCorruptionTable(t *testing.T) {
 		p.Write([]byte{ProtoVersion, opLen, flagCompressed})
 		var hdr [binary.MaxVarintLen64]byte
 		p.Write(hdr[:binary.PutUvarint(hdr[:], maxFrame+1)])
-		if _, _, _, _, err := readFrame(bytes.NewReader(rawFrame(p.Bytes()))); err == nil {
+		if _, _, _, err := readFrame(bytes.NewReader(rawFrame(p.Bytes()))); err == nil {
 			t.Fatal("compressed body declaring >maxFrame accepted")
 		}
 	})
@@ -225,25 +248,25 @@ func TestCorruptionTable(t *testing.T) {
 		deflateBody(&p, []byte("tiny"))
 		b := p.Bytes()
 		b[3] = 0x60 // declare 96 inflated bytes; the stream holds 4
-		if _, _, _, _, err := readFrame(bytes.NewReader(rawFrame(b))); err == nil {
+		if _, _, _, err := readFrame(bytes.NewReader(rawFrame(b))); err == nil {
 			t.Fatal("inflated-size mismatch accepted")
 		}
 	})
 	t.Run("unknown op", func(t *testing.T) {
 		srv := NewShardServer(frontier.NewSharded(2))
-		if status, _ := srv.handle(ProtoVersion, 0xEE, nil); status != statusError {
+		if status, _ := srv.handle(0xEE, nil); status != statusError {
 			t.Fatalf("unknown op status %d, want error", status)
 		}
 	})
 	t.Run("mutating op without request id", func(t *testing.T) {
 		srv := NewShardServer(frontier.NewSharded(2))
-		if status, _ := srv.handle(helloProto, opPush, []byte{1, 2}); status != statusError {
+		if status, _ := srv.handle(opPush, []byte{1, 2}); status != statusError {
 			t.Fatalf("short mutating body status %d, want error", status)
 		}
 	})
 	t.Run("front-coding prefix lie", func(t *testing.T) {
 		srv := NewShardServer(frontier.NewSharded(2))
-		if status, _ := srv.handle(ProtoVersion, opPushBatch, prefixLieBody(13)); status != statusError {
+		if status, _ := srv.handle(opPushBatch, prefixLieBody(13)); status != statusError {
 			t.Fatalf("prefix lie status %d, want error", status)
 		}
 		if n := srv.Shards().Len(); n != 0 {

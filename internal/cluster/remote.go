@@ -69,24 +69,6 @@ type Options struct {
 	// (100ms); negative polls on every call (tests want deterministic
 	// pickup of registry changes). Ignored without a registry.
 	RebalancePoll time.Duration
-	// MaxProtoVersion caps the wire protocol version this client offers
-	// at hello. 0 means the newest this build speaks (ProtoVersion);
-	// setting it to 5 forces the pre-varint framing, which mixed-version
-	// tests use to stand in for an old client. Values are clamped to
-	// [helloProto, ProtoVersion].
-	MaxProtoVersion int
-}
-
-// maxProto resolves the configured protocol ceiling.
-func (o Options) maxProto() byte {
-	v := o.MaxProtoVersion
-	if v <= 0 || v > ProtoVersion {
-		return ProtoVersion
-	}
-	if v < helloProto {
-		return helloProto
-	}
-	return byte(v)
 }
 
 // dialTimeout resolves the configured timeout against the default.
@@ -236,14 +218,6 @@ type serverConns struct {
 	// (checkStoreHello).
 	storeBoot    uint64
 	storeBootSet bool
-	// maxProto is the highest protocol version this client offers the
-	// server (Options.MaxProtoVersion); proto pins the negotiated
-	// version after the first hello (0 = not yet negotiated, speak
-	// helloProto). A reconnect negotiating a different version means
-	// the server changed builds mid-session — refuse, like a shard
-	// count change.
-	maxProto byte
-	proto    atomic.Uint32
 
 	pool chan *clientConn
 
@@ -261,30 +235,19 @@ type serverConns struct {
 	bytesIn  atomic.Int64
 }
 
-// wireVer returns the protocol version this pool's frames speak: the
-// hello-negotiated version once pinned, else helloProto — safe before
-// (and during) the first handshake, since every server understands it.
-func (sc *serverConns) wireVer() byte {
-	if v := sc.proto.Load(); v != 0 {
-		return byte(v)
-	}
-	return helloProto
-}
-
 // exchange sends one request frame and reads its response, accounting
 // the real wire bytes both ways (post-compression — the unit WireBytes
-// and the bytes-per-page benchmark report). ver must be the version
-// body was encoded under.
-func (sc *serverConns) exchange(cc *clientConn, ver, op byte, body []byte) (byte, []byte, error) {
+// and the bytes-per-page benchmark report).
+func (sc *serverConns) exchange(cc *clientConn, op byte, body []byte) (byte, []byte, error) {
 	sc.trips.Add(1)
 	m := metricsFor(op)
-	out, err := writeFrame(cc.conn, ver, op, body)
+	out, err := writeFrame(cc.conn, op, body)
 	if err != nil {
 		return 0, nil, err
 	}
 	sc.bytesOut.Add(int64(out))
 	m.clientReqBytes.Observe(float64(out))
-	_, status, resp, in, err := readFrame(cc.r)
+	status, resp, in, err := readFrame(cc.r)
 	if err == nil {
 		sc.bytesIn.Add(int64(in))
 		m.clientRespBytes.Observe(float64(in))
@@ -293,8 +256,9 @@ func (sc *serverConns) exchange(cc *clientConn, ver, op byte, body []byte) (byte
 }
 
 // connect dials a fresh connection and runs the hello handshake over
-// it: protocol version check plus the per-kind validation (shard-count
-// pinning, or the store server's magic).
+// it: the per-kind validation (shard-count pinning, or the store
+// server's magic). A server of another protocol version answers the
+// hello with a statusError naming both versions.
 func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
 	if sc.closed.Load() {
 		return nil, errClientClosed
@@ -304,9 +268,7 @@ func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
 		return nil, err
 	}
 	cc := &clientConn{conn: conn, r: bufio.NewReader(conn)}
-	// Hello frames are always tagged helloProto — both sides must be
-	// able to decode them before any version has been negotiated.
-	status, resp, err := sc.exchange(cc, helloProto, sc.helloOp, helloBody)
+	status, resp, err := sc.exchange(cc, sc.helloOp, helloBody)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -327,14 +289,10 @@ func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
 // server restarted with a different layout, which silently reroutes
 // URLs — refuse.
 func (sc *serverConns) checkShardHello(resp []byte) error {
-	d := newDec(helloProto, resp)
+	d := newDec(resp)
 	n := int(d.u32())
 	if d.finish() != nil || n < 1 {
 		return errors.New("bad hello response")
-	}
-	neg, err := sc.negotiated(d)
-	if err != nil {
-		return err
 	}
 	sc.pinMu.Lock()
 	defer sc.pinMu.Unlock()
@@ -342,39 +300,6 @@ func (sc *serverConns) checkShardHello(resp []byte) error {
 		sc.wantShards = n
 	} else if n != sc.wantShards {
 		return fmt.Errorf("shard count changed across reconnect: %d, want %d", n, sc.wantShards)
-	}
-	return sc.pinProtoLocked(neg)
-}
-
-// negotiated parses the optional negotiated-version byte a v6-aware
-// server appends to its hello response. A v5 server leaves nothing
-// trailing (neg 0: speak helloProto for the connection's lifetime),
-// as does a client capped at v5 — it never offered, so it must not
-// read a trailing byte that isn't there.
-func (sc *serverConns) negotiated(d *dec) (byte, error) {
-	if sc.maxProto < protoV6 || d.off >= len(d.b) {
-		return 0, nil
-	}
-	v := d.u8()
-	if d.err != nil || v < helloProto || v > sc.maxProto {
-		return 0, fmt.Errorf("bad negotiated protocol version %d", v)
-	}
-	return v, nil
-}
-
-// pinProtoLocked records the hello's negotiated version, refusing a
-// change across reconnect (the server swapped builds mid-session —
-// frames already encoded under the old pin would silently misparse).
-// Caller holds pinMu.
-func (sc *serverConns) pinProtoLocked(neg byte) error {
-	v := uint32(neg)
-	if v == 0 {
-		v = helloProto
-	}
-	if prev := sc.proto.Load(); prev == 0 {
-		sc.proto.Store(v)
-	} else if prev != v {
-		return fmt.Errorf("protocol version changed across reconnect: %d, want %d", v, prev)
 	}
 	return nil
 }
@@ -388,22 +313,15 @@ func (sc *serverConns) pinProtoLocked(neg byte) error {
 // against it would corrupt the crawl — refuse and let the error go
 // sticky instead.
 func (sc *serverConns) checkStoreHello(resp []byte) error {
-	d := newDec(helloProto, resp)
+	d := newDec(resp)
 	magic := d.u32()
 	durable := d.bool()
 	boot := d.u64()
 	if d.finish() != nil || magic != storeHelloMagic {
 		return errors.New("not a store server (bad hello magic)")
 	}
-	neg, err := sc.negotiated(d)
-	if err != nil {
-		return err
-	}
 	sc.pinMu.Lock()
 	defer sc.pinMu.Unlock()
-	if err := sc.pinProtoLocked(neg); err != nil {
-		return err
-	}
 	if !sc.storeBootSet {
 		sc.storeBoot, sc.storeBootSet = boot, true
 		return nil
@@ -422,7 +340,7 @@ func (sc *serverConns) checkStoreHello(resp []byte) error {
 // slot is always returned — holding the live connection on success,
 // nil after a failure — so concurrent ops never block on a drained
 // pool.
-func (sc *serverConns) roundTrip(ver, op byte, body []byte) ([]byte, error) {
+func (sc *serverConns) roundTrip(op byte, body []byte) ([]byte, error) {
 	m := metricsFor(op)
 	start := time.Now()
 	cc := <-sc.pool
@@ -447,7 +365,7 @@ func (sc *serverConns) roundTrip(ver, op byte, body []byte) ([]byte, error) {
 				continue
 			}
 		}
-		status, resp, err := sc.exchange(cc, ver, op, body)
+		status, resp, err := sc.exchange(cc, op, body)
 		if err != nil {
 			cc.conn.Close()
 			cc = nil
@@ -503,7 +421,6 @@ func newServerConns(name string, dial Dialer, opts Options, closed *atomic.Bool)
 	return &serverConns{
 		name:       name,
 		dial:       dial,
-		maxProto:   opts.maxProto(),
 		pool:       make(chan *clientConn, conns),
 		maxRetries: retries,
 		backoff:    backoff,
@@ -554,24 +471,17 @@ func (sc *serverConns) drainClose() {
 	}
 }
 
-// helloBody encodes the handshake: politeness handover, whether to
+// helloBody encodes the handshake: politeness handover, and whether to
 // clear stale shard claims (a fresh client session does; a reconnect
-// must not, its own workers hold claims), and — from a v6-capable
-// client — the highest protocol version it wants. Pre-v6 servers
-// tolerate the trailing byte (their hello decode ignores extra body)
-// and answer without a negotiated version, so both sides fall back to
-// helloProto.
-func helloBody(politenessDays float64, clearClaims bool, maxProto byte) []byte {
-	e := newEnc(helloProto)
+// must not, its own workers hold claims).
+func helloBody(politenessDays float64, clearClaims bool) []byte {
+	var e enc
 	if politenessDays >= 0 {
 		e.bool(true).f64(politenessDays)
 	} else {
 		e.bool(false)
 	}
 	e.bool(clearClaims)
-	if maxProto >= protoV6 {
-		e.u8(maxProto)
-	}
 	return e.b
 }
 
@@ -586,8 +496,8 @@ func Dial(dialers []Dialer, opts Options) (*RemoteShards, error) {
 		return nil, errors.New("cluster: no shard servers")
 	}
 	rs := &RemoteShards{reqBase: randomReqBase(), politeness: opts.PolitenessDays, opts: opts}
-	helloInit := helloBody(opts.PolitenessDays, true, opts.maxProto())
-	helloRe := helloBody(opts.PolitenessDays, false, opts.maxProto())
+	helloInit := helloBody(opts.PolitenessDays, true)
+	helloRe := helloBody(opts.PolitenessDays, false)
 	names := make([]string, len(dialers))
 	servers := make([]*serverConns, len(dialers))
 	for i, dial := range dialers {
@@ -698,19 +608,6 @@ func (rs *RemoteShards) WireBytes() (in, out int64) {
 	return in, out
 }
 
-// WireVersions returns the negotiated protocol version per server of
-// the current topology (0 for a server whose pool has not completed a
-// hello yet). Mixed-version tests use it to assert which encoding a
-// crawl actually ran over.
-func (rs *RemoteShards) WireVersions() []int {
-	t := rs.t()
-	out := make([]int, len(t.servers))
-	for i, sc := range t.servers {
-		out[i] = int(sc.proto.Load())
-	}
-	return out
-}
-
 func (rs *RemoteShards) closeAll() {
 	rs.closed.Store(true)
 	for _, sc := range rs.allServers() {
@@ -723,9 +620,6 @@ func (rs *RemoteShards) Close() error {
 	rs.closeAll()
 	return nil
 }
-
-// NumServers returns the current epoch's cluster size.
-func (rs *RemoteShards) NumServers() int { return len(rs.t().servers) }
 
 // NumShards returns the total shard count across the current epoch's
 // servers.
@@ -761,10 +655,9 @@ func (rs *RemoteShards) Push(url string, due, priority float64) {
 	}
 	t := rs.t()
 	sc := t.servers[t.serverOf(url)]
-	ver := sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.fix64(rs.nextReq()).str(url).f64(due).f64(priority)
-	if _, err := sc.roundTrip(ver, opPush, e.b); err != nil {
+	if _, err := sc.roundTrip(opPush, e.b); err != nil {
 		rs.fail(err)
 	}
 }
@@ -806,11 +699,10 @@ func (rs *RemoteShards) PushBatch(entries []frontier.Entry) {
 			sc := t.servers[si]
 			for off := 0; off < len(group); off += pushBatchChunk {
 				chunk := group[off:min(off+pushBatchChunk, len(group))]
-				ver := sc.wireVer()
-				e := newEnc(ver)
+				var e enc
 				e.fix64(rs.nextReq())
 				encodeEntries(&e, chunk)
-				if _, err := sc.roundTrip(ver, opPushBatch, e.b); err != nil {
+				if _, err := sc.roundTrip(opPushBatch, e.b); err != nil {
 					errs[si] = err
 					return
 				}
@@ -890,19 +782,18 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 		go func(si int, r *svrRound) {
 			defer wg.Done()
 			sc := t.servers[si]
-			ver := sc.wireVer()
-			e := newEnc(ver)
+			var e enc
 			e.fix64(rs.nextReq())
 			encodeStrings(&e, "", r.pops)
 			encodeStrings(&e, "", r.removes)
 			encodeEntries(&e, r.pushes)
 			e.u32(uint32(peekMax))
-			resp, err := sc.roundTrip(ver, opRound, e.b)
+			resp, err := sc.roundTrip(opRound, e.b)
 			if err != nil {
 				resps[si].err = err
 				return
 			}
-			d := newDec(ver, resp)
+			d := newDec(resp)
 			list := decodeEntries(d)
 			complete := d.bool()
 			if d.finish() != nil {
@@ -941,38 +832,29 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 }
 
 // fan sends one request to every server of the topology concurrently
-// and collects the responses indexed by server, along with the
-// protocol version each response is encoded under (the server echoes
-// the request frame's version, captured here before the trip — a
-// lazily-dialed pool may negotiate a newer version mid-call, so
-// re-reading wireVer afterwards could misparse the response). Bodies
-// must be version-neutral (f64/bool/fix64/empty encode identically
-// under every protocol version) because each server may have
-// negotiated a different one.
-func fan(servers []*serverConns, op byte, bodies func(i int) []byte) ([][]byte, []byte, error) {
+// and collects the responses indexed by server.
+func fan(servers []*serverConns, op byte, bodies func(i int) []byte) ([][]byte, error) {
 	results := make([][]byte, len(servers))
-	vers := make([]byte, len(servers))
 	errs := make([]error, len(servers))
 	var wg sync.WaitGroup
 	for i := range servers {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vers[i] = servers[i].wireVer()
-			results[i], errs[i] = servers[i].roundTrip(vers[i], op, bodies(i))
+			results[i], errs[i] = servers[i].roundTrip(op, bodies(i))
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return results, vers, nil
+	return results, nil
 }
 
 // fanSame is fan with one shared request body (read-only ops).
-func fanSame(servers []*serverConns, op byte, body []byte) ([][]byte, []byte, error) {
+func fanSame(servers []*serverConns, op byte, body []byte) ([][]byte, error) {
 	return fan(servers, op, func(int) []byte { return body })
 }
 
@@ -993,15 +875,14 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 			op = opClaimDue
 		}
 		sc := t.servers[0]
-		ver := sc.wireVer()
-		e := newEnc(ver)
+		var e enc
 		e.fix64(rs.nextReq()).f64(now)
-		resp, err := sc.roundTrip(ver, op, e.b)
+		resp, err := sc.roundTrip(op, e.b)
 		if err != nil {
 			rs.fail(err)
 			return frontier.Entry{}, -1, false
 		}
-		d := newDec(ver, resp)
+		d := newDec(resp)
 		ent, ok := decodeEntry(d)
 		if !ok {
 			return frontier.Entry{}, -1, false
@@ -1018,9 +899,9 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 	}
 
 	var peek enc
-	peek.f64(now).bool(claim) // version-neutral body, shared across servers
+	peek.f64(now).bool(claim) // one body, shared across servers
 	for {
-		heads, vers, err := fanSame(t.servers, opHeadDue, peek.b)
+		heads, err := fanSame(t.servers, opHeadDue, peek.b)
 		if err != nil {
 			rs.fail(err)
 			return frontier.Entry{}, -1, false
@@ -1028,7 +909,7 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 		best := -1
 		var bestE frontier.Entry
 		for i, resp := range heads {
-			d := newDec(vers[i], resp)
+			d := newDec(resp)
 			if ent, ok := decodeEntry(d); ok && d.finish() == nil &&
 				(best < 0 || frontier.EntryBefore(ent, bestE)) {
 				best, bestE = i, ent
@@ -1038,15 +919,14 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 			return frontier.Entry{}, -1, false
 		}
 		sc := t.servers[best]
-		ver := sc.wireVer()
-		commit := newEnc(ver)
+		var commit enc
 		commit.fix64(rs.nextReq()).f64(now).str(bestE.URL).bool(claim)
-		resp, err := sc.roundTrip(ver, opPopDueMatch, commit.b)
+		resp, err := sc.roundTrip(opPopDueMatch, commit.b)
 		if err != nil {
 			rs.fail(err)
 			return frontier.Entry{}, -1, false
 		}
-		d := newDec(ver, resp)
+		d := newDec(resp)
 		if ent, ok := decodeEntry(d); ok {
 			local := int(d.u32())
 			if d.finish() != nil {
@@ -1078,10 +958,9 @@ func (rs *RemoteShards) Release(shard int, nextReady float64) {
 	t := rs.t()
 	si, local := t.serverOfShard(shard)
 	sc := t.servers[si]
-	ver := sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.fix64(rs.nextReq()).u32(uint32(local)).f64(nextReady)
-	if _, err := sc.roundTrip(ver, opRelease, e.b); err != nil {
+	if _, err := sc.roundTrip(opRelease, e.b); err != nil {
 		rs.fail(err)
 	}
 }
@@ -1093,15 +972,14 @@ func (rs *RemoteShards) Remove(url string) bool {
 	}
 	t := rs.t()
 	sc := t.servers[t.serverOf(url)]
-	ver := sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.fix64(rs.nextReq()).str(url)
-	resp, err := sc.roundTrip(ver, opRemove, e.b)
+	resp, err := sc.roundTrip(opRemove, e.b)
 	if err != nil {
 		rs.fail(err)
 		return false
 	}
-	d := newDec(ver, resp)
+	d := newDec(resp)
 	return d.bool() && d.finish() == nil
 }
 
@@ -1112,15 +990,14 @@ func (rs *RemoteShards) Contains(url string) bool {
 	}
 	t := rs.t()
 	sc := t.servers[t.serverOf(url)]
-	ver := sc.wireVer()
-	e := newEnc(ver)
+	var e enc
 	e.str(url)
-	resp, err := sc.roundTrip(ver, opContains, e.b)
+	resp, err := sc.roundTrip(opContains, e.b)
 	if err != nil {
 		rs.fail(err)
 		return false
 	}
-	d := newDec(ver, resp)
+	d := newDec(resp)
 	return d.bool() && d.finish() == nil
 }
 
@@ -1129,14 +1006,14 @@ func (rs *RemoteShards) Len() int {
 	if rs.broken() {
 		return 0
 	}
-	resps, vers, err := fanSame(rs.t().servers, opLen, nil)
+	resps, err := fanSame(rs.t().servers, opLen, nil)
 	if err != nil {
 		rs.fail(err)
 		return 0
 	}
 	n := 0
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range resps {
+		d := newDec(resp)
 		n += int(d.u32())
 	}
 	return n
@@ -1147,14 +1024,14 @@ func (rs *RemoteShards) URLs() []string {
 	if rs.broken() {
 		return nil
 	}
-	resps, vers, err := fanSame(rs.t().servers, opURLs, nil)
+	resps, err := fanSame(rs.t().servers, opURLs, nil)
 	if err != nil {
 		rs.fail(err)
 		return nil
 	}
 	var out []string
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range resps {
+		d := newDec(resp)
 		out = append(out, decodeStrings(d, "")...)
 		if d.finish() != nil {
 			rs.fail(fmt.Errorf("cluster: bad URLs response"))
@@ -1170,15 +1047,15 @@ func (rs *RemoteShards) Peek() (frontier.Entry, bool) {
 	if rs.broken() {
 		return frontier.Entry{}, false
 	}
-	resps, vers, err := fanSame(rs.t().servers, opPeek, nil)
+	resps, err := fanSame(rs.t().servers, opPeek, nil)
 	if err != nil {
 		rs.fail(err)
 		return frontier.Entry{}, false
 	}
 	found := false
 	var bestE frontier.Entry
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range resps {
+		d := newDec(resp)
 		if ent, ok := decodeEntry(d); ok && d.finish() == nil &&
 			(!found || frontier.EntryBefore(ent, bestE)) {
 			found, bestE = true, ent
@@ -1192,15 +1069,15 @@ func (rs *RemoteShards) NextEvent() (float64, bool) {
 	if rs.broken() {
 		return 0, false
 	}
-	resps, vers, err := fanSame(rs.t().servers, opNextEvent, nil)
+	resps, err := fanSame(rs.t().servers, opNextEvent, nil)
 	if err != nil {
 		rs.fail(err)
 		return 0, false
 	}
 	found := false
 	var next float64
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range resps {
+		d := newDec(resp)
 		ok, t := d.bool(), d.f64()
 		if d.finish() == nil && ok && (!found || t < next) {
 			found, next = true, t
@@ -1217,7 +1094,7 @@ func (rs *RemoteShards) Reset() error {
 	if err := rs.Err(); err != nil {
 		return err
 	}
-	if _, _, err := fan(rs.t().servers, opReset, func(int) []byte {
+	if _, err := fan(rs.t().servers, opReset, func(int) []byte {
 		var e enc
 		e.fix64(rs.nextReq())
 		return e.b
@@ -1234,14 +1111,14 @@ func (rs *RemoteShards) ShardLens() []int {
 	if rs.broken() {
 		return nil
 	}
-	resps, vers, err := fanSame(rs.t().servers, opStats, nil)
+	resps, err := fanSame(rs.t().servers, opStats, nil)
 	if err != nil {
 		rs.fail(err)
 		return nil
 	}
 	var out []int
-	for i, resp := range resps {
-		d := newDec(vers[i], resp)
+	for _, resp := range resps {
+		d := newDec(resp)
 		n := int(d.u32())
 		for j := 0; j < n && d.finish() == nil; j++ {
 			out = append(out, int(d.u32()))

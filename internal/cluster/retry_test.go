@@ -328,13 +328,13 @@ func TestMutatingRetryAppliesOnce(t *testing.T) {
 	srv.Shards().Push("http://site002.com/b", 0, 1)
 
 	var body enc
-	body.u64(42).f64(10)
-	st1, resp1 := srv.handle(helloProto, opClaimDue, body.b)
+	body.fix64(42).f64(10)
+	st1, resp1 := srv.handle(opClaimDue, body.b)
 	if st1 != statusOK {
 		t.Fatalf("claim failed: %s", resp1)
 	}
 	before := srv.Shards().Len()
-	st2, resp2 := srv.handle(helloProto, opClaimDue, body.b)
+	st2, resp2 := srv.handle(opClaimDue, body.b)
 	if st2 != st1 || string(resp2) != string(resp1) {
 		t.Fatalf("retried claim not deduped: (%d,%q) vs (%d,%q)", st2, resp2, st1, resp1)
 	}
@@ -343,8 +343,8 @@ func TestMutatingRetryAppliesOnce(t *testing.T) {
 	}
 	// A different request ID is a genuinely new claim.
 	var body2 enc
-	body2.u64(43).f64(10)
-	if st, resp := srv.handle(helloProto, opClaimDue, body2.b); st != statusOK {
+	body2.fix64(43).f64(10)
+	if st, resp := srv.handle(opClaimDue, body2.b); st != statusOK {
 		t.Fatalf("fresh claim failed: %s", resp)
 	} else if srv.Shards().Len() != before-1 {
 		t.Fatal("fresh claim did not pop")

@@ -24,6 +24,11 @@ import (
 // the frontier but the response-dedup cache, so a client retry that
 // spans a server crash still gets exactly-once semantics.
 //
+// Logs and snapshots are written at ProtoVersion, the only version
+// this build reads. An intact frame of another version is not a torn
+// write: OpenWAL refuses the directory with an error naming the
+// version and leaves the refused file as it found it.
+//
 // Layout of a -wal directory:
 //
 //	frontier.snap          a chunked snapshot (header, entry chunks,
@@ -93,17 +98,15 @@ func walFileSeqs(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// append logs one mutating op, framed with the version the client's
-// request carried so replay decodes it identically. Caller holds
-// walMu. The frame is written with a single write call before the
-// client's acknowledgement is sent (the hello records before, the
-// request path just after, the apply), so an acknowledged op is always
-// replayable.
-func (w *wal) append(ver, op byte, body []byte) error {
+// append logs one mutating op. Caller holds walMu. The frame is
+// written with a single write call before the client's
+// acknowledgement is sent (the hello records before, the request path
+// just after, the apply), so an acknowledged op is always replayable.
+func (w *wal) append(op byte, body []byte) error {
 	if w.broken != nil {
 		return fmt.Errorf("wal poisoned by earlier failure: %w", w.broken)
 	}
-	n, err := writeFrame(w.f, ver, op, body)
+	n, err := writeFrame(w.f, op, body)
 	if err != nil {
 		w.broken = err
 		return err
@@ -178,9 +181,15 @@ func (s *ShardServer) replayWALFileLocked(path string) error {
 	r := bufio.NewReader(f)
 	var good int64
 	for {
-		ver, op, body, wire, err := readFrame(r)
+		op, body, wire, err := readFrame(r)
 		if err == io.EOF {
 			return nil
+		}
+		var ve *versionError
+		if errors.As(err, &ve) {
+			// An intact frame from another build is not a torn tail:
+			// refuse the log and leave it untouched.
+			return fmt.Errorf("cluster: wal: %s: %w", path, err)
 		}
 		if err != nil {
 			// Torn or corrupt tail: sweep back to the last valid frame.
@@ -191,7 +200,7 @@ func (s *ShardServer) replayWALFileLocked(path string) error {
 		}
 		switch {
 		case op == walSetPoliteness:
-			d := newDec(ver, body)
+			d := newDec(body)
 			gap := d.f64()
 			if d.finish() == nil {
 				s.shards.SetPoliteness(gap)
@@ -199,7 +208,7 @@ func (s *ShardServer) replayWALFileLocked(path string) error {
 		case op == walClearClaims:
 			s.shards.ClearClaims()
 		case mutatingOp(op):
-			d := newDec(ver, body)
+			d := newDec(body)
 			reqID := d.fix64()
 			if d.finish() == nil {
 				if _, _, ok := s.dedup.get(reqID); !ok {
@@ -233,14 +242,18 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 		return 0, fmt.Errorf("cluster: wal: corrupt snapshot %s", path)
 	}
 	r := bufio.NewReader(f)
-	ver, kind, body, _, err := readFrame(r)
+	kind, body, _, err := readFrame(r)
+	var ve *versionError
+	if errors.As(err, &ve) {
+		return 0, fmt.Errorf("cluster: wal: snapshot %s: %w", path, err)
+	}
 	if err != nil {
 		return corrupt(err)
 	}
 	if kind != walSnapHeader {
 		return 0, fmt.Errorf("cluster: wal: %s is not a snapshot (kind %d)", path, kind)
 	}
-	d := newDec(ver, body)
+	d := newDec(body)
 	seq := d.u64()
 	politeness := d.f64()
 	nshards := int(d.u32())
@@ -265,11 +278,11 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 	var dedups []dedupEntry
 	done := false
 	for !done {
-		ver, kind, body, _, err := readFrame(r)
+		kind, body, _, err := readFrame(r)
 		if err != nil {
 			return corrupt(err)
 		}
-		d := newDec(ver, body)
+		d := newDec(body)
 		switch kind {
 		case walSnapEntries:
 			chunk := decodeEntries(d)
@@ -322,20 +335,20 @@ func (s *ShardServer) writeSnapshotLocked(seq uint64) error {
 	}
 	w := bufio.NewWriter(f)
 
-	hdr := newEnc(ProtoVersion)
+	var hdr enc
 	hdr.u64(seq)
 	hdr.f64(politeness)
 	hdr.u32(uint32(len(shardStates)))
 	for _, ss := range shardStates {
 		hdr.f64(ss.NextReady).bool(ss.Claimed)
 	}
-	if _, err := writeFrame(w, ProtoVersion, walSnapHeader, hdr.b); err != nil {
+	if _, err := writeFrame(w, walSnapHeader, hdr.b); err != nil {
 		return fail(err)
 	}
 	if err := s.shards.StreamEntries(walSnapChunk, func(chunk []frontier.Entry) error {
-		e := newEnc(ProtoVersion)
+		var e enc
 		encodeEntries(&e, chunk)
-		_, err := writeFrame(w, ProtoVersion, walSnapEntries, e.b)
+		_, err := writeFrame(w, walSnapEntries, e.b)
 		return err
 	}); err != nil {
 		return fail(err)
@@ -343,16 +356,16 @@ func (s *ShardServer) writeSnapshotLocked(seq uint64) error {
 	dedups := s.dedup.snapshotEntries()
 	for off := 0; off < len(dedups); off += walSnapChunk {
 		chunk := dedups[off:min(off+walSnapChunk, len(dedups))]
-		e := newEnc(ProtoVersion)
+		var e enc
 		e.u32(uint32(len(chunk)))
 		for _, de := range chunk {
 			e.fix64(de.id).u8(de.status).str(string(de.resp))
 		}
-		if _, err := writeFrame(w, ProtoVersion, walSnapDedup, e.b); err != nil {
+		if _, err := writeFrame(w, walSnapDedup, e.b); err != nil {
 			return fail(err)
 		}
 	}
-	if _, err := writeFrame(w, ProtoVersion, walSnapEnd, nil); err != nil {
+	if _, err := writeFrame(w, walSnapEnd, nil); err != nil {
 		return fail(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -440,11 +453,4 @@ func (s *ShardServer) CloseWAL() error {
 	}
 	s.wal = nil
 	return err
-}
-
-// WALOpen reports whether frontier persistence is enabled.
-func (s *ShardServer) WALOpen() bool {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	return s.wal != nil
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"webevolve/internal/frontier"
@@ -27,8 +28,8 @@ func newWALServer(t *testing.T, dir string, shards int) *ShardServer {
 func pushVia(t *testing.T, srv *ShardServer, reqID uint64, url string, due, prio float64) {
 	t.Helper()
 	var e enc
-	e.u64(reqID).str(url).f64(due).f64(prio)
-	if st, resp := srv.handle(helloProto, opPush, e.b); st != statusOK {
+	e.fix64(reqID).str(url).f64(due).f64(prio)
+	if st, resp := srv.handle(opPush, e.b); st != statusOK {
 		t.Fatalf("push: %s", resp)
 	}
 }
@@ -36,8 +37,8 @@ func pushVia(t *testing.T, srv *ShardServer, reqID uint64, url string, due, prio
 func popVia(t *testing.T, srv *ShardServer, reqID uint64, now float64) (frontier.Entry, bool) {
 	t.Helper()
 	var e enc
-	e.u64(reqID).f64(now)
-	st, resp := srv.handle(helloProto, opPopDue, e.b)
+	e.fix64(reqID).f64(now)
+	st, resp := srv.handle(opPopDue, e.b)
 	if st != statusOK {
 		t.Fatalf("pop: %s", resp)
 	}
@@ -155,39 +156,70 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestWALReplaysOlderProtoVersion: a WAL written by a version-2 shardd
-// (every frame stamped with the old protocol version) must replay after
-// an upgrade. Rejecting old versions at the frame level would make
-// recovery mistake the entire log for a torn tail and truncate it to
-// nothing — silent loss of the exact state the WAL exists to keep.
-func TestWALReplaysOlderProtoVersion(t *testing.T) {
-	dir := t.TempDir()
-	f, err := os.OpenFile(walFilePath(dir, 0), os.O_CREATE|os.O_WRONLY, walFilePerm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	urls := []string{"http://site001.com/a", "http://site002.com/b", "http://site003.com/c"}
-	for i, u := range urls {
-		var e enc
-		e.u64(uint64(100 + i)).str(u).f64(float64(i)).f64(0)
-		writeFrameVersion(t, f, minProtoVersion, opPush, e.b)
-	}
-	f.Close()
-
-	srv := newWALServer(t, dir, 4)
-	if got := srv.Shards().Len(); got != len(urls) {
-		t.Fatalf("recovered Len = %d, want %d (old-version WAL truncated?)", got, len(urls))
-	}
-	for _, u := range urls {
-		if !srv.Shards().Contains(u) {
-			t.Fatalf("entry %s lost replaying an old-version WAL", u)
+// TestWALRefusesOtherProtoVersion: a log or snapshot written by a
+// build speaking another protocol version must fail OpenWAL with an
+// error naming the version, and leave the file byte-for-byte intact.
+// Its frames are whole and CRC-valid, so treating them as a torn tail
+// would truncate away the exact state the WAL exists to keep.
+func TestWALRefusesOtherProtoVersion(t *testing.T) {
+	const old = ProtoVersion - 1
+	want := fmt.Sprintf("protocol version %d", old)
+	refused := func(t *testing.T, dir, path string) {
+		t.Helper()
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = NewShardServer(frontier.NewSharded(4)).OpenWAL(dir)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("OpenWAL = %v, want an error naming %q", err, want)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s changed (%d -> %d bytes): refused file was rewritten", filepath.Base(path), len(before), len(after))
 		}
 	}
+
+	t.Run("log", func(t *testing.T) {
+		dir := t.TempDir()
+		path := walFilePath(dir, 0)
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, walFilePerm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur enc
+		cur.fix64(100).str("http://site001.com/a").f64(0).f64(0)
+		if _, err := writeFrame(f, opPush, cur.b); err != nil {
+			t.Fatal(err)
+		}
+		var e enc
+		e.fix64(101).str("http://site002.com/b").f64(1).f64(0)
+		writeFrameVersion(t, f, old, opPush, e.b)
+		f.Close()
+		refused(t, dir, path)
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, walSnapName)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr enc
+		hdr.u64(0).f64(0).u32(0)
+		writeFrameVersion(t, f, old, walSnapHeader, hdr.b)
+		writeFrameVersion(t, f, old, walSnapEnd, nil)
+		f.Close()
+		refused(t, dir, path)
+	})
 }
 
-// writeFrameVersion hand-assembles one pre-v6 frame (two-byte payload
-// header, no flags byte) stamped with an explicit protocol version —
-// what an old shardd build would have written.
+// writeFrameVersion hand-assembles one frame in the pre-v6 layout
+// (two-byte payload header, no flags byte) stamped with an explicit
+// protocol version — what an older shardd build would have written.
 func writeFrameVersion(t *testing.T, f *os.File, version, kind byte, body []byte) {
 	t.Helper()
 	buf := make([]byte, 8+2+len(body))
@@ -201,10 +233,10 @@ func writeFrameVersion(t *testing.T, f *os.File, version, kind byte, body []byte
 	}
 }
 
-// walBatchBody builds a v6 push-batch body big enough that writeFrame
+// walBatchBody builds a push-batch body big enough that writeFrame
 // deflates the WAL frame (front-coded URLs, > compressMin bytes raw).
 func walBatchBody(reqID uint64, urls []string) []byte {
-	e := newEnc(ProtoVersion)
+	var e enc
 	e.fix64(reqID)
 	ents := make([]frontier.Entry, len(urls))
 	for i, u := range urls {
@@ -214,14 +246,13 @@ func walBatchBody(reqID uint64, urls []string) []byte {
 	return e.b
 }
 
-// TestWALReplaysCompressedFrames: a current-build WAL — v6 frames,
-// batch bodies big enough to ride the compression flag — must replay
+// TestWALReplaysCompressedFrames: a current-build WAL — batch bodies big enough to ride the compression flag — must replay
 // exactly after a crash (no CloseWAL, no snapshot).
 func TestWALReplaysCompressedFrames(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
 	urls := testURLs(8, 8)
-	if st, resp := srv.handle(ProtoVersion, opPushBatch, walBatchBody(900, urls)); st != statusOK {
+	if st, resp := srv.handle(opPushBatch, walBatchBody(900, urls)); st != statusOK {
 		t.Fatalf("batch push: %s", resp)
 	}
 
@@ -241,7 +272,7 @@ func TestWALReplaysCompressedFrames(t *testing.T) {
 		if off+8+n > len(raw) {
 			break
 		}
-		if n >= 3 && raw[off+8] >= protoV6 && raw[off+8+2]&flagCompressed != 0 {
+		if n >= 3 && raw[off+8] == ProtoVersion && raw[off+8+2]&flagCompressed != 0 {
 			compressed = true
 		}
 		off += 8 + n
@@ -261,7 +292,7 @@ func TestWALReplaysCompressedFrames(t *testing.T) {
 	}
 }
 
-// TestWALTornCompressedTailTruncated: a v6 compressed frame torn
+// TestWALTornCompressedTailTruncated: a compressed frame torn
 // mid-write must sweep back to the last CRC-valid frame — acknowledged
 // ops before the tear survive, and the file is truncated to the valid
 // prefix so subsequent appends don't interleave with garbage.
@@ -280,7 +311,7 @@ func TestWALTornCompressedTailTruncated(t *testing.T) {
 	// A well-formed compressed batch frame, torn 5 bytes short: the
 	// length prefix promises more than the file holds.
 	var torn bytes.Buffer
-	if _, err := writeFrame(&torn, ProtoVersion, opPushBatch, walBatchBody(901, testURLs(8, 8))); err != nil {
+	if _, err := writeFrame(&torn, opPushBatch, walBatchBody(901, testURLs(8, 8))); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(active, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -345,15 +376,15 @@ func TestWALDedupSurvivesRestart(t *testing.T) {
 	pushVia(t, srv, 2, "http://site002.com/b", 0, 1)
 
 	var claim enc
-	claim.u64(77).f64(10)
-	st1, resp1 := srv.handle(helloProto, opClaimDue, claim.b)
+	claim.fix64(77).f64(10)
+	st1, resp1 := srv.handle(opClaimDue, claim.b)
 	if st1 != statusOK {
 		t.Fatalf("claim: %s", resp1)
 	}
 	// Crash before the response reached the client; the client retries
 	// the identical frame against the restarted server.
 	srv2 := newWALServer(t, dir, 4)
-	st2, resp2 := srv2.handle(helloProto, opClaimDue, claim.b)
+	st2, resp2 := srv2.handle(opClaimDue, claim.b)
 	if st2 != st1 || string(resp2) != string(resp1) {
 		t.Fatalf("retry across restart not deduped: (%d,%q) vs (%d,%q)", st2, resp2, st1, resp1)
 	}
@@ -404,7 +435,7 @@ func TestWALReplayKeepsHelloPoliteness(t *testing.T) {
 	srv := newWALServer(t, dir, 4)
 	var hello enc
 	hello.bool(true).f64(1.5).bool(true)
-	if st, resp := srv.handle(helloProto, opHello, hello.b); st != statusOK {
+	if st, resp := srv.handle(opHello, hello.b); st != statusOK {
 		t.Fatalf("hello: %s", resp)
 	}
 	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)

@@ -414,9 +414,8 @@ func (c *Crawler) runSteady(until float64) error {
 			continue
 		}
 		horizon := c.steadyHorizon(until)
-		depth, maxJobs := c.steadyRoundCap(perFetch)
-		dispatched, err := c.pipelineRounds(depth, func(r *roundState, windowFloor float64) {
-			c.popSteadyRound(r, horizon, perFetch, maxJobs, windowFloor)
+		dispatched, err := c.pipelineRounds(steadyDepth, func(r *roundState, windowFloor float64) {
+			c.popSteadyRound(r, horizon, perFetch, windowFloor)
 		})
 		if err != nil {
 			return err
@@ -482,11 +481,7 @@ func (c *Crawler) runBatch(until float64) error {
 		// the chunked pop sequence matches the sequential one; unlike
 		// the steady loop, pops draw from the snapshot rather than the
 		// frontier, so overlapping rounds need no reschedule window.
-		depth := 2
-		if c.cfg.BatchSync {
-			depth = 1
-		}
-		if _, err := c.pipelineRounds(depth, func(r *roundState, _ float64) {
+		if _, err := c.pipelineRounds(batchDepth, func(r *roundState, _ float64) {
 			c.popBatchRound(r, until)
 		}); err != nil {
 			return err

@@ -186,23 +186,12 @@ func (c *Crawler) resolveJob(j *crawlJob) error {
 	return nil
 }
 
-// steadyRoundCap returns the pipeline depth and per-round job cap for
-// the steady loop. With BatchSync the engine reverts to the pre-
-// pipelining shape: one round in flight, capped to the reschedule
-// window, no gap jumping.
-func (c *Crawler) steadyRoundCap(perFetch float64) (depth, maxJobs int) {
-	maxJobs = c.cfg.DispatchBatch
-	if c.cfg.BatchSync {
-		if w := int(c.cfg.MinIntervalDays / perFetch); w < maxJobs {
-			maxJobs = w
-		}
-		if maxJobs < 1 {
-			maxJobs = 1
-		}
-		return 1, maxJobs
-	}
-	return 4, maxJobs
-}
+// Pipeline depths: how many dispatch rounds fetch on the pool at once
+// in the steady loop and in batch mode's cycle drain.
+const (
+	steadyDepth = 4
+	batchDepth  = 2
+)
 
 // popSteadyRound pops the next dispatch round of due URLs for the
 // steady-mode loop, stamping each with the virtual day the sequential
@@ -220,19 +209,16 @@ func (c *Crawler) steadyRoundCap(perFetch float64) (depth, maxJobs int) {
 // past this round's own first job. Within those bounds the pipelined
 // pop sequence is exactly the sequential loop's (see the file
 // comment).
-func (c *Crawler) popSteadyRound(r *roundState, horizon, perFetch float64, maxJobs int, windowFloor float64) {
+func (c *Crawler) popSteadyRound(r *roundState, horizon, perFetch, windowFloor float64) {
 	r.reset()
 	d := c.day
 	limit := horizon
 	if !math.IsInf(windowFloor, 1) {
 		limit = math.Min(limit, windowFloor+c.cfg.MinIntervalDays)
 	}
-	for len(r.jobs) < maxJobs && d < limit {
+	for len(r.jobs) < c.cfg.DispatchBatch && d < limit {
 		e, ok := c.rounds.popDue(d)
 		if !ok {
-			if c.cfg.BatchSync {
-				break // pre-pipelining rounds end at the first gap
-			}
 			// Nothing due at d: jump to the next poppable instant if it
 			// is still inside this round's window; otherwise leave the
 			// remaining idle time to the steady loop.
@@ -311,14 +297,7 @@ func (c *Crawler) dispatchRound(r *roundState) {
 // round's fetches land, and the content phase overlaps the younger
 // rounds' in-flight fetches. It reports whether any round was
 // dispatched.
-//
-// With Config.BatchSync set (depth 1, content applied before the next
-// pop), the loop degenerates to the pre-pipelining batch-synchronous
-// behavior, kept for A/B benchmarking.
 func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFloor float64)) (bool, error) {
-	if depth < 1 {
-		depth = 1
-	}
 	// depth rounds in flight plus the one being applied.
 	for len(c.roundBufs) < depth+1 {
 		c.roundBufs = append(c.roundBufs, &roundState{})
@@ -384,21 +363,13 @@ func (c *Crawler) pipelineRounds(depth int, popNext func(r *roundState, windowFl
 			abort()
 			return true, err
 		}
-		if c.cfg.BatchSync {
-			if err := c.applyContent(cur); err != nil {
-				abort()
-				return true, err
-			}
-		}
 		// Top the pipeline back up, then fold in cur's content while
 		// the younger rounds fetch.
 		for len(inflight) < depth && dispatch() {
 		}
-		if !c.cfg.BatchSync {
-			if err := c.applyContent(cur); err != nil {
-				abort()
-				return true, err
-			}
+		if err := c.applyContent(cur); err != nil {
+			abort()
+			return true, err
 		}
 		free = append(free, cur)
 	}

@@ -90,22 +90,10 @@ type wireMeter interface {
 }
 
 // BenchmarkEngine is the canonical engine benchmark: 8 workers at a
-// 200µs simulated fetch latency, pipelined dispatch (the default).
-// Compare against BenchmarkEngineBatchSync — the same configuration
-// with the pre-pipelining batch-synchronous dispatch — for the win of
-// overlapping fetch latency with apply CPU; `make bench` records both
-// in BENCH_engine.json.
+// 200µs simulated fetch latency, pipelined dispatch; `make bench`
+// records it in BENCH_engine.json.
 func BenchmarkEngine(b *testing.B) {
 	benchmarkEngine(b, 8, 32, 200*time.Microsecond, nil, nil)
-}
-
-// BenchmarkEngineBatchSync runs BenchmarkEngine's exact configuration
-// with Config.BatchSync set: one round in flight, fully applied before
-// the next pop — the dispatch discipline the engine used before the
-// pipelined dispatcher.
-func BenchmarkEngineBatchSync(b *testing.B) {
-	benchmarkEngine(b, 8, 32, 200*time.Microsecond,
-		func(cfg *Config) { cfg.BatchSync = true }, nil)
 }
 
 // BenchmarkEngineRemote is BenchmarkEngine with the frontier behind

@@ -10,8 +10,9 @@
 // against a live shadow crawl comes from the Source abstraction — each
 // request resolves the current reader and its generation, the bundled
 // hot-set cache drops its entries whenever the generation moves, and a
-// read in flight across a swap completes against the collection it
-// started on (store.Shadowed's op-refcount guard).
+// request in flight across a swap completes against the collection it
+// started on (store.Shadowed's View lease, released when the request
+// ends).
 //
 // Endpoints:
 //
@@ -51,9 +52,22 @@ import (
 // underlying collection is atomically replaced (a shadow swap): it
 // keys the hot-set cache and invalidates conditional-request state.
 // *store.Shadowed implements Source directly (its View method); fixed
-// collections wrap in Static.
+// collections wrap in Static. A returned Reader that also has a
+// Release method is released once the request it served ends.
 type Source interface {
 	View() (store.Reader, uint64)
+}
+
+// view resolves the request's reader and generation, plus the release
+// to defer: a reader that holds a lease on its collection (a
+// *store.Lease from store.Shadowed.View) keeps that collection open
+// until the request ends.
+func (s *Server) view() (store.Reader, uint64, func()) {
+	r, gen := s.src.View()
+	if l, ok := r.(interface{ Release() }); ok {
+		return r, gen, l.Release
+	}
+	return r, gen, func() {}
 }
 
 // SourceFunc adapts a function to a Source.
@@ -285,7 +299,8 @@ func (s *Server) getPage(w http.ResponseWriter, r *http.Request, pathRest string
 		s.error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	reader, gen := s.src.View()
+	reader, gen, release := s.view()
+	defer release()
 	rec, ok, err := s.lookup(reader, gen, u)
 	if err != nil {
 		s.error(w, http.StatusInternalServerError, err.Error())
@@ -407,7 +422,8 @@ func (s *Server) listPages(w http.ResponseWriter, r *http.Request) {
 		limit = min(n, maxListLimit)
 	}
 
-	reader, gen := s.src.View()
+	reader, gen, release := s.view()
+	defer release()
 	out := PageList{Pages: make([]PageMeta, 0, min(limit, 64)), Generation: gen}
 	more := false
 	add := func(rec store.PageRecord) bool {
@@ -612,7 +628,8 @@ type Stats struct {
 
 // stats serves GET /v1/stats.
 func (s *Server) stats(w http.ResponseWriter) {
-	reader, gen := s.src.View()
+	reader, gen, release := s.view()
+	defer release()
 	st := Stats{
 		Pages:         reader.Len(),
 		Generation:    gen,

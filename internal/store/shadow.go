@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Shadowed wraps two collections to implement the shadowing update
@@ -227,13 +228,58 @@ func (s *Shadowed) Shadow() Collection {
 // with the swap generation it belongs to. The generation increments at
 // every Swap, so a caching reader (the serving plane's hot-set cache)
 // keys its entries on it and drops them the moment a swap publishes new
-// content. The returned Reader is the op-refcount guard: a read in
-// flight across a Swap completes against the collection it started on
-// instead of surfacing ErrClosed.
+// content.
+//
+// The returned Reader is a *Lease: it holds one in-flight call on the
+// collection from View until Release, so every read a request makes
+// through it — however many, however far apart — lands on the
+// collection it started on, even across a Swap. The caller must call
+// Release when done; until then a swapped-out collection stays open.
+// Once the pair is closed, View returns a reader whose calls fail with
+// ErrClosed.
 func (s *Shadowed) View() (Reader, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.current, uint64(s.swaps)
+	if err := s.current.enter(); err != nil {
+		return s.current, uint64(s.swaps)
+	}
+	return &Lease{g: s.current}, uint64(s.swaps)
+}
+
+// Lease is a Reader pinned to one collection generation (see
+// Shadowed.View). Its reads go straight to the collection: the lease
+// already counts as the in-flight call that defers a retired
+// collection's Close.
+type Lease struct {
+	g        *guarded
+	released atomic.Bool
+}
+
+var _ Reader = (*Lease)(nil)
+
+// Release ends the lease; a retired collection closes once its last
+// lease is released. Calls after the first are no-ops.
+func (l *Lease) Release() {
+	if l.released.CompareAndSwap(false, true) {
+		l.g.exit()
+	}
+}
+
+// Get implements Reader.
+func (l *Lease) Get(url string) (PageRecord, bool, error) { return l.g.coll.Get(url) }
+
+// Len implements Reader.
+func (l *Lease) Len() int { return l.g.coll.Len() }
+
+// URLs implements Reader.
+func (l *Lease) URLs() []string { return l.g.coll.URLs() }
+
+// Scan implements Reader.
+func (l *Lease) Scan(fn func(PageRecord) bool) error { return l.g.coll.Scan(fn) }
+
+// ScanFrom implements Reader.
+func (l *Lease) ScanFrom(after string, fn func(PageRecord) bool) error {
+	return l.g.coll.ScanFrom(after, fn)
 }
 
 // Swap publishes the shadow as the current collection, retires the old
