@@ -11,8 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second pass reruns the scheduling-sensitive tests at one, two and
+# four CPUs, so an ordering bug that a many-core CI machine hides still
+# shows on a small one.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 -run 'Determin|Invariance|Stress|Race|Concurren|ServeAcrossLiveCrawl' ./internal/...
 
 # Engine benchmarks, written machine-readable to BENCH_engine.json
 # (benchmark name, iterations, ns/op, pages/s, B/op, allocs/op) so the
@@ -46,12 +50,14 @@ bench:
 bench-smoke:
 	$(GO) test -short -bench . -benchtime=1x -run '^$$' ./...
 
-# Ten seconds of real fuzzing per wire-decoding fuzzer: the seed
-# corpora already run as plain tests in `race`; this explores past
-# them. -run '^$$' skips the package's unit tests.
+# Ten seconds of real fuzzing per decoding fuzzer (the wire frame, the
+# request handler, the store's record codec): the seed corpora already
+# run as plain tests in `race`; this explores past them. -run '^$$'
+# skips the package's unit tests.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleBody$$' -fuzztime 10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime 10s ./internal/store/
 
 fmt:
 	@out="$$(gofmt -l .)"; \

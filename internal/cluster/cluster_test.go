@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/seglog"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -138,29 +139,29 @@ func TestServerAnswersOtherVersion(t *testing.T) {
 }
 
 func TestBodyCodecRoundTrip(t *testing.T) {
-	var e enc
-	e.u32(42).f64(3.25).bool(true).str("http://site000.com/p00001").bool(false)
-	d := &dec{b: e.b}
-	if v := d.u32(); v != 42 {
+	var e seglog.Enc
+	e.U32(42).F64(3.25).Bool(true).Str("http://site000.com/p00001").Bool(false)
+	d := seglog.NewDec(e.B)
+	if v := d.U32(); v != 42 {
 		t.Fatalf("u32 = %d", v)
 	}
-	if v := d.f64(); v != 3.25 {
+	if v := d.F64(); v != 3.25 {
 		t.Fatalf("f64 = %v", v)
 	}
-	if !d.bool() {
+	if !d.Bool() {
 		t.Fatal("bool true lost")
 	}
-	if v := d.str(); v != "http://site000.com/p00001" {
+	if v := d.Str(); v != "http://site000.com/p00001" {
 		t.Fatalf("str = %q", v)
 	}
-	if d.bool() {
+	if d.Bool() {
 		t.Fatal("bool false lost")
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	// Over-read poisons the decoder rather than panicking.
-	if d.u32() != 0 || d.finish() == nil {
+	if d.U32() != 0 || d.Finish() == nil {
 		t.Fatal("over-read not caught")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/seglog"
 )
 
 // validFrame builds a well-formed frame for seeding the fuzzers.
@@ -22,14 +23,14 @@ func validFrame(t testing.TB, kind byte, body []byte) []byte {
 // prefixLieBody builds a push-batch body whose single front-coded
 // entry claims a 64-byte shared prefix against an empty previous URL.
 func prefixLieBody(reqID uint64) []byte {
-	var e enc
-	e.fix64(reqID)
-	e.uvarint(1)  // one entry
-	e.uvarint(64) // shared prefix longer than prev ("")
-	e.uvarint(0)  // empty suffix
-	e.fix64(0)    // due
-	e.fix64(0)    // priority
-	return e.b
+	var e seglog.Enc
+	e.Fix64(reqID)
+	e.U64(1)   // one entry
+	e.U64(64)  // shared prefix longer than prev ("")
+	e.U64(0)   // empty suffix
+	e.Fix64(0) // due
+	e.Fix64(0) // priority
+	return e.B
 }
 
 // rawFrame assembles a frame with a correct length prefix and CRC but
@@ -51,44 +52,44 @@ func rawFrame(payload []byte) []byte {
 // and unknown ops must all surface as errors (or error responses),
 // never as panics or hangs.
 func FuzzDecodeFrame(f *testing.F) {
-	var push enc
-	push.fix64(7).str("http://site001.com/a").f64(1).f64(2)
-	f.Add(validFrame(f, opPush, push.b))
-	var batch enc
-	batch.fix64(8)
+	var push seglog.Enc
+	push.Fix64(7).Str("http://site001.com/a").F64(1).F64(2)
+	f.Add(validFrame(f, opPush, push.B))
+	var batch seglog.Enc
+	batch.Fix64(8)
 	encodeEntries(&batch, []frontier.Entry{
 		{URL: "http://site001.com/a", Due: 1},
 		{URL: "http://site001.com/b", Due: 2, Priority: 1},
 	})
-	f.Add(validFrame(f, opPushBatch, batch.b))
-	var hello enc
-	hello.bool(true).f64(0.5).bool(true)
-	f.Add(validFrame(f, opHello, hello.b))
-	var quietHello enc
-	quietHello.bool(false).bool(false)
-	f.Add(validFrame(f, opHello, quietHello.b))
+	f.Add(validFrame(f, opPushBatch, batch.B))
+	var hello seglog.Enc
+	hello.Bool(true).F64(0.5).Bool(true)
+	f.Add(validFrame(f, opHello, hello.B))
+	var quietHello seglog.Enc
+	quietHello.Bool(false).Bool(false)
+	f.Add(validFrame(f, opHello, quietHello.B))
 	f.Add(validFrame(f, opLen, nil))
 	f.Add(validFrame(f, 0xEE, []byte("unknown op")))
-	var round enc
-	round.fix64(14)
-	encodeStrings(&round, "", []string{"http://site001.com/a"})
-	encodeStrings(&round, "", nil)
+	var round seglog.Enc
+	round.Fix64(14)
+	round.Strings("", []string{"http://site001.com/a"})
+	round.Strings("", nil)
 	encodeEntries(&round, []frontier.Entry{{URL: "http://site001.com/b", Due: 3}})
-	round.u32(8)
-	f.Add(validFrame(f, opRound, round.b))
-	var export enc
-	export.fix64(15).u32(1024).u32(2).u32(3).u32(700).str("").u32(16)
-	f.Add(validFrame(f, opShardExport, export.b))
+	round.U32(8)
+	f.Add(validFrame(f, opRound, round.B))
+	var export seglog.Enc
+	export.Fix64(15).U32(1024).U32(2).U32(3).U32(700).Str("").U32(16)
+	f.Add(validFrame(f, opShardExport, export.B))
 
 	// A compressed frame (body above compressMin so writeFrame deflates).
-	var big enc
-	big.fix64(9)
+	var big seglog.Enc
+	big.Fix64(9)
 	var ents []frontier.Entry
 	for i := 0; i < 64; i++ {
 		ents = append(ents, frontier.Entry{URL: "http://site000.com/page/000000000000", Due: float64(i)})
 	}
 	encodeEntries(&big, ents)
-	f.Add(validFrame(f, opPushBatch, big.b))
+	f.Add(validFrame(f, opPushBatch, big.B))
 
 	whole := validFrame(f, opPush, []byte("x"))
 	// Truncated frame.
@@ -147,24 +148,24 @@ func FuzzDecodeFrame(f *testing.F) {
 // the decode layer's poisoning must turn any malformed body into an
 // error response, not a panic.
 func FuzzHandleBody(f *testing.F) {
-	var push enc
-	push.fix64(9).str("http://site001.com/a").f64(1).f64(2)
-	f.Add(opPush, push.b)
-	var batch enc
-	batch.fix64(10)
+	var push seglog.Enc
+	push.Fix64(9).Str("http://site001.com/a").F64(1).F64(2)
+	f.Add(opPush, push.B)
+	var batch seglog.Enc
+	batch.Fix64(10)
 	encodeEntries(&batch, []frontier.Entry{
 		{URL: "http://site001.com/a", Due: 1},
 		{URL: "http://site002.com/b", Due: 2, Priority: 1},
 	})
-	f.Add(opPushBatch, batch.b)
+	f.Add(opPushBatch, batch.B)
 	// Batch claiming 4 billion entries with a 30-byte body.
-	var lying enc
-	lying.fix64(11).u32(0xFFFFFFFF).str("http://site001.com/a")
-	f.Add(opPushBatch, lying.b)
-	var pop enc
-	pop.fix64(12).f64(3)
-	f.Add(opPopDue, pop.b)
-	f.Add(opClaimDue, pop.b)
+	var lying seglog.Enc
+	lying.Fix64(11).U32(0xFFFFFFFF).Str("http://site001.com/a")
+	f.Add(opPushBatch, lying.B)
+	var pop seglog.Enc
+	pop.Fix64(12).F64(3)
+	f.Add(opPopDue, pop.B)
+	f.Add(opClaimDue, pop.B)
 	f.Add(opRelease, []byte{1, 2, 3})
 	f.Add(opHello, []byte{1})
 	f.Add(byte(0xEE), []byte("unknown"))
@@ -173,29 +174,29 @@ func FuzzHandleBody(f *testing.F) {
 	f.Add(opPushBatch, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0x80})
 	// Front-coded entry whose shared prefix exceeds the previous URL.
 	f.Add(opPushBatch, prefixLieBody(13))
-	var head enc
-	head.f64(3).bool(true)
-	f.Add(opHeadDue, head.b)
-	var release enc
-	release.fix64(14).u32(1).f64(4)
-	f.Add(opRelease, release.b)
-	var round enc
-	round.fix64(15)
-	encodeStrings(&round, "", []string{"http://site001.com/a"})
-	encodeStrings(&round, "", []string{"http://site002.com/b"})
+	var head seglog.Enc
+	head.F64(3).Bool(true)
+	f.Add(opHeadDue, head.B)
+	var release seglog.Enc
+	release.Fix64(14).U32(1).F64(4)
+	f.Add(opRelease, release.B)
+	var round seglog.Enc
+	round.Fix64(15)
+	round.Strings("", []string{"http://site001.com/a"})
+	round.Strings("", []string{"http://site002.com/b"})
 	encodeEntries(&round, []frontier.Entry{{URL: "http://site001.com/c", Due: 5}})
-	round.u32(4)
-	f.Add(opRound, round.b)
+	round.U32(4)
+	f.Add(opRound, round.B)
 	// Export of three partitions out of 1024, chunked after a cursor.
-	var export enc
-	export.fix64(16).u32(1024).u32(3).u32(1).u32(2).u32(3).str("http://site001.com/a").u32(8)
-	f.Add(opShardExport, export.b)
+	var export seglog.Enc
+	export.Fix64(16).U32(1024).U32(3).U32(1).U32(2).U32(3).Str("http://site001.com/a").U32(8)
+	f.Add(opShardExport, export.B)
 	// Import of one entry plus one dedup pair.
-	var imp enc
-	imp.fix64(17)
+	var imp seglog.Enc
+	imp.Fix64(17)
 	encodeEntries(&imp, []frontier.Entry{{URL: "http://site003.com/a", Due: 6}})
-	imp.u32(1).fix64(99).u8(statusOK).bytes([]byte{1})
-	f.Add(opShardImport, imp.b)
+	imp.U32(1).Fix64(99).U8(statusOK).Bytes([]byte{1})
+	f.Add(opShardImport, imp.B)
 
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		srv := NewShardServer(frontier.NewSharded(2))
@@ -209,9 +210,9 @@ func FuzzHandleBody(f *testing.F) {
 // TestCorruptionTable pins the corruption cases the fuzzers seed, so
 // the contract is enforced even in runs that skip fuzzing.
 func TestCorruptionTable(t *testing.T) {
-	var push enc
-	push.fix64(7).str("http://site001.com/a").f64(1).f64(2)
-	whole := validFrame(t, opPush, push.b)
+	var push seglog.Enc
+	push.Fix64(7).Str("http://site001.com/a").F64(1).F64(2)
+	whole := validFrame(t, opPush, push.B)
 
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 0; cut < len(whole); cut++ {

@@ -38,6 +38,7 @@ import (
 
 	"webevolve/internal/frontier"
 	"webevolve/internal/registry"
+	"webevolve/internal/seglog"
 )
 
 // MembershipSource feeds RemoteShards its member set; registry.Client
@@ -230,14 +231,14 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 				return fmt.Errorf("cluster: migration: no pool for new owner %s", addr)
 			}
 			pending := dedups[dedupSent[addr]:]
-			var e enc
-			e.fix64(rs.nextReq())
+			var e seglog.Enc
+			e.Fix64(rs.nextReq())
 			encodeEntries(&e, entries)
-			e.u32(uint32(len(pending)))
+			e.U32(uint32(len(pending)))
 			for _, de := range pending {
-				e.fix64(de.id).u8(de.status).bytes(de.resp)
+				e.Fix64(de.id).U8(de.status).Bytes(de.resp)
 			}
-			if _, err := sc.roundTrip(opShardImport, e.b); err != nil {
+			if _, err := sc.roundTrip(opShardImport, e.B); err != nil {
 				return err
 			}
 			dedupSent[addr] = len(dedups)
@@ -248,29 +249,29 @@ func (rs *RemoteShards) migrateLocked(t *shardTopology, ms registry.Membership) 
 			sc := pools[addr]
 			after := ""
 			for {
-				var e enc
-				e.fix64(rs.nextReq())
-				e.u32(uint32(nextRing.Parts())).u32(uint32(len(moved)))
+				var e seglog.Enc
+				e.Fix64(rs.nextReq())
+				e.U32(uint32(nextRing.Parts())).U32(uint32(len(moved)))
 				for _, p := range moved {
-					e.u32(uint32(p))
+					e.U32(uint32(p))
 				}
-				e.str(after).u32(uint32(pushBatchChunk))
-				resp, err := sc.roundTrip(opShardExport, e.b)
+				e.Str(after).U32(uint32(pushBatchChunk))
+				resp, err := sc.roundTrip(opShardExport, e.B)
 				if err != nil {
 					rs.fail(err)
 					return err
 				}
-				d := newDec(resp)
+				d := seglog.NewDec(resp)
 				entries := decodeEntries(d)
-				dn := int(d.u32())
-				for i := 0; i < dn && d.finish() == nil; i++ {
-					id, st, b := d.fix64(), d.u8(), d.bytes()
-					if d.finish() == nil {
+				dn := int(d.U32())
+				for i := 0; i < dn && d.Finish() == nil; i++ {
+					id, st, b := d.Fix64(), d.U8(), d.Bytes()
+					if d.Finish() == nil {
 						dedups = append(dedups, dedupEntry{id: id, status: st, resp: append([]byte(nil), b...)})
 					}
 				}
-				more := d.bool()
-				if d.finish() != nil {
+				more := d.Bool()
+				if d.Finish() != nil {
 					err := fmt.Errorf("cluster: %s: bad export response", sc.name)
 					rs.fail(err)
 					return err

@@ -21,13 +21,11 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
-	"strings"
 	"sync"
+
+	"webevolve/internal/seglog"
 )
 
 // ProtoVersion is the one wire protocol version this build speaks, on
@@ -42,15 +40,15 @@ import (
 // deflate-compressed body.
 const ProtoVersion = 6
 
-// maxFrame bounds a frame payload; anything larger is treated as a
-// corrupt or hostile stream. A compressed body must also declare an
-// inflated size within this bound.
-const maxFrame = 64 << 20
+// maxFrame bounds a frame payload (seglog's one cap on every log
+// record); anything larger is treated as a corrupt or hostile stream.
+// A compressed body must also declare an inflated size within this
+// bound.
+const maxFrame = seglog.MaxFrame
 
-// Frame layout (little endian):
+// A frame is one seglog frame (length, CRC, payload) whose payload is
 //
-//	payloadLen uint32 | crc32(payload) uint32 | payload
-//	payload := version uint8 | kind uint8 | flags uint8 | body
+//	version uint8 | kind uint8 | flags uint8 | body
 //
 // For requests, kind is the opcode; for responses it is a status
 // (statusOK with an op-specific body, or statusError with a message).
@@ -133,7 +131,7 @@ func storeMutatingOp(op byte) bool {
 
 // mutatingOp reports whether op changes frontier state. Mutating ops
 // carry a leading client-generated request ID (a fixed 8-byte field,
-// see enc.fix64): the server logs them to its WAL (when enabled) and
+// see seglog.Enc.Fix64): the server logs them to its WAL (when enabled) and
 // memoizes their responses in a bounded cache keyed by that ID, so a
 // client retrying after a broken connection gets the original response
 // instead of a second application — exactly-once semantics over an
@@ -153,10 +151,9 @@ const (
 	statusError
 )
 
-var (
-	errBadFrame = errors.New("cluster: corrupt frame")
-	errShort    = errors.New("cluster: truncated body")
-)
+// errBadFrame is a CRC-valid frame whose payload is not a frame of
+// this protocol.
+var errBadFrame = fmt.Errorf("%w: bad payload header", seglog.ErrCorrupt)
 
 // versionError is readFrame's error for an intact frame (length and
 // CRC valid) tagged with a protocol version other than ProtoVersion:
@@ -247,7 +244,7 @@ func inflateBody(comp []byte) ([]byte, error) {
 	fr.Close()
 	flateReaderPool.Put(fr)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: corrupt compressed frame: %w", err)
+		return nil, fmt.Errorf("%w: compressed body: %v", seglog.ErrCorrupt, err)
 	}
 	return out, nil
 }
@@ -275,322 +272,52 @@ func writeFrame(w io.Writer, kind byte, body []byte) (int, error) {
 			frameCompressedBytes.Observe(float64(len(wireBody)))
 		}
 	}
-	payload := len(wireBody) + 3
-	if payload > maxFrame {
-		if cbuf != nil {
-			putCompressBuf(cbuf)
-		}
-		return 0, fmt.Errorf("cluster: frame too large (%d bytes)", payload)
-	}
 	bp := frameBufPool.Get().(*[]byte)
-	buf := *bp
-	if cap(buf) < 8+payload {
-		buf = make([]byte, 8+payload)
-	} else {
-		buf = buf[:8+payload]
+	buf := append(seglog.Reserve((*bp)[:0]), ProtoVersion, kind, flags)
+	buf = append(buf, wireBody...)
+	if cbuf != nil {
+		putCompressBuf(cbuf)
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(payload))
-	buf[8] = ProtoVersion
-	buf[9] = kind
-	buf[10] = flags
-	copy(buf[11:], wireBody)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
-	n, err := w.Write(buf)
+	n, err := 0, seglog.Seal(buf)
+	if err == nil {
+		n, err = w.Write(buf)
+	}
 	if cap(buf) <= frameBufPoolMax {
 		*bp = buf
 		frameBufPool.Put(bp)
 	}
-	if cbuf != nil {
-		putCompressBuf(cbuf)
-	}
 	return n, err
 }
 
-// readFrame reads one frame, verifying length, CRC and version, and
-// inflating a compressed body. The version is checked only once the
-// CRC has proven the frame intact, so a *versionError always means a
-// whole frame from another build. It returns the bytes consumed from
-// r — the wire size, which differs from len(body) for compressed
-// frames.
+// readFrame reads one frame and opens its payload. It returns the
+// bytes consumed from r — the wire size, which differs from len(body)
+// for compressed frames.
 func readFrame(r io.Reader) (kind byte, body []byte, wire int, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	payload, err := seglog.Read(r)
+	if err != nil {
 		return 0, nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n < 2 || n > maxFrame {
-		return 0, nil, 0, errBadFrame
+	kind, body, err = openPayload(payload)
+	return kind, body, seglog.HeaderLen + len(payload), err
+}
+
+// openPayload checks a frame payload's version and flags and inflates
+// a compressed body. The version is checked only once the CRC has
+// proven the frame intact, so a *versionError always means a whole
+// frame from another build; every other failure wraps
+// seglog.ErrCorrupt.
+func openPayload(payload []byte) (kind byte, body []byte, err error) {
+	if len(payload) >= 2 && payload[0] != ProtoVersion {
+		return 0, nil, &versionError{got: payload[0]}
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
+	if len(payload) < 3 || payload[2]&^flagCompressed != 0 {
+		return 0, nil, errBadFrame
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return 0, nil, 0, errBadFrame
-	}
-	if ver := payload[0]; ver != ProtoVersion {
-		return 0, nil, 0, &versionError{got: ver}
-	}
-	if n < 3 {
-		return 0, nil, 0, errBadFrame
-	}
-	kind = payload[1]
-	flags := payload[2]
-	if flags&^flagCompressed != 0 {
-		return 0, nil, 0, errBadFrame
-	}
-	body = payload[3:]
-	if flags&flagCompressed != 0 {
-		body, err = inflateBody(body)
-		if err != nil {
-			return 0, nil, 0, err
+	kind, body = payload[1], payload[3:]
+	if payload[2]&flagCompressed != 0 {
+		if body, err = inflateBody(body); err != nil {
+			return 0, nil, err
 		}
 	}
-	return kind, body, 8 + int(n), nil
-}
-
-// enc is an append-only body encoder: uvarint u32/u64 fields,
-// front-coded string lists, and fixed-width fix64/f64 for values a
-// varint would grow.
-type enc struct {
-	b []byte
-}
-
-func (e *enc) uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	e.b = append(e.b, b[:binary.PutUvarint(b[:], v)]...)
-}
-
-func (e *enc) u32(v uint32) *enc {
-	e.uvarint(uint64(v))
-	return e
-}
-
-func (e *enc) u64(v uint64) *enc {
-	e.uvarint(v)
-	return e
-}
-
-// fix64 writes a fixed 8-byte little-endian value. Request IDs and page
-// checksums are uniformly random 64-bit values, so a uvarint would
-// *grow* them (9.2 bytes on average).
-func (e *enc) fix64(v uint64) *enc {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.b = append(e.b, b[:]...)
-	return e
-}
-
-func (e *enc) u8(v byte) *enc {
-	e.b = append(e.b, v)
-	return e
-}
-
-func (e *enc) f64(v float64) *enc {
-	return e.fix64(math.Float64bits(v))
-}
-
-func (e *enc) bool(v bool) *enc {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
-	}
-	return e
-}
-
-func (e *enc) str(s string) *enc {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-	return e
-}
-
-// strDelta appends s front-coded against prev: the length of the shared
-// prefix, the suffix length, then the suffix bytes. URL lists travel
-// sorted (per shard, per scan chunk), so consecutive entries share long
-// prefixes and the shared part costs one or two bytes instead of being
-// resent.
-func (e *enc) strDelta(prev, s string) *enc {
-	shared := commonPrefixLen(prev, s)
-	e.uvarint(uint64(shared))
-	e.uvarint(uint64(len(s) - shared))
-	e.b = append(e.b, s[shared:]...)
-	return e
-}
-
-// bytes appends a length-prefixed byte slice without an intermediate
-// string copy (page bodies ride the hot put/get/scan paths).
-func (e *enc) bytes(b []byte) *enc {
-	e.u32(uint32(len(b)))
-	e.b = append(e.b, b...)
-	return e
-}
-
-func commonPrefixLen(a, b string) int {
-	n := min(len(a), len(b))
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
-}
-
-// dec is a cursor-based body decoder (enc's inverse); the first
-// malformed field poisons it and every later read returns the zero
-// value.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-// newDec returns a decoder over body.
-func newDec(body []byte) *dec { return &dec{b: body} }
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.b) {
-		d.err = errShort
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.err = errShort
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	v := d.uvarint()
-	if v > math.MaxUint32 {
-		d.err = errBadFrame
-		return 0
-	}
-	return uint32(v)
-}
-
-func (d *dec) u64() uint64 { return d.uvarint() }
-
-// fix64 reads a fixed 8-byte value (enc.fix64's inverse).
-func (d *dec) fix64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *dec) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) f64() float64 {
-	return math.Float64frombits(d.fix64())
-}
-
-func (d *dec) bool() bool {
-	b := d.take(1)
-	return b != nil && b[0] != 0
-}
-
-func (d *dec) str() string {
-	n := d.u32()
-	if d.err != nil || int(n) > len(d.b)-d.off {
-		d.err = errShort
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-// strDelta decodes a front-coded string against prev (enc.strDelta's
-// inverse). A prefix length exceeding len(prev) poisons the decoder: it
-// can only come from a corrupt or hostile frame.
-func (d *dec) strDelta(prev string) string {
-	shared := d.uvarint()
-	if d.err != nil || shared > uint64(len(prev)) {
-		d.err = errBadFrame
-		return ""
-	}
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)-d.off) {
-		d.err = errShort
-		return ""
-	}
-	suffix := d.take(int(n))
-	if shared == 0 {
-		return string(suffix)
-	}
-	var sb strings.Builder
-	sb.Grow(int(shared) + len(suffix))
-	sb.WriteString(prev[:shared])
-	sb.Write(suffix)
-	return sb.String()
-}
-
-// bytes decodes a length-prefixed byte slice with exactly one copy
-// (never retaining the frame buffer); empty decodes as nil.
-func (d *dec) bytes() []byte {
-	n := d.u32()
-	if d.err != nil || int(n) > len(d.b)-d.off {
-		d.err = errShort
-		return nil
-	}
-	b := d.take(int(n))
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-// finish reports a decoding error, if any.
-func (d *dec) finish() error { return d.err }
-
-// encodeStrings appends a counted string list, front-coding each
-// element against its predecessor. prev seeds the first element's front-coding — both sides
-// must agree on it (the empty string, or a resume cursor both already
-// know).
-func encodeStrings(e *enc, prev string, list []string) {
-	e.u32(uint32(len(list)))
-	for _, s := range list {
-		e.strDelta(prev, s)
-		prev = s
-	}
-}
-
-// decodeStrings decodes a counted string list (encodeStrings's
-// inverse). An empty list decodes as nil, so record link lists
-// round-trip to the same value the local stores produce.
-func decodeStrings(d *dec, prev string) []string {
-	n := int(d.u32())
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, min(n, 1<<16))
-	for i := 0; i < n && d.finish() == nil; i++ {
-		s := d.strDelta(prev)
-		if d.finish() == nil {
-			out = append(out, s)
-			prev = s
-		}
-	}
-	return out
+	return kind, body, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/seglog"
 )
 
 // BenchmarkEncodeEntries pins the entry codec's cost and allocation
@@ -22,10 +23,10 @@ func BenchmarkEncodeEntries(b *testing.B) {
 	b.ReportAllocs()
 	var body int
 	for i := 0; i < b.N; i++ {
-		var e enc
+		var e seglog.Enc
 		encodeEntries(&e, entries)
-		body = len(e.b)
-		d := newDec(e.b)
+		body = len(e.B)
+		d := seglog.NewDec(e.B)
 		if got := decodeEntries(d); len(got) != n {
 			b.Fatalf("decoded %d entries, want %d", len(got), n)
 		}

@@ -14,6 +14,7 @@ import (
 
 	"webevolve/internal/frontier"
 	"webevolve/internal/registry"
+	"webevolve/internal/seglog"
 	"webevolve/internal/webgraph"
 )
 
@@ -289,9 +290,9 @@ func (sc *serverConns) connect(helloBody []byte) (*clientConn, error) {
 // server restarted with a different layout, which silently reroutes
 // URLs — refuse.
 func (sc *serverConns) checkShardHello(resp []byte) error {
-	d := newDec(resp)
-	n := int(d.u32())
-	if d.finish() != nil || n < 1 {
+	d := seglog.NewDec(resp)
+	n := int(d.U32())
+	if d.Finish() != nil || n < 1 {
 		return errors.New("bad hello response")
 	}
 	sc.pinMu.Lock()
@@ -313,11 +314,11 @@ func (sc *serverConns) checkShardHello(resp []byte) error {
 // against it would corrupt the crawl — refuse and let the error go
 // sticky instead.
 func (sc *serverConns) checkStoreHello(resp []byte) error {
-	d := newDec(resp)
-	magic := d.u32()
-	durable := d.bool()
-	boot := d.u64()
-	if d.finish() != nil || magic != storeHelloMagic {
+	d := seglog.NewDec(resp)
+	magic := d.U32()
+	durable := d.Bool()
+	boot := d.U64()
+	if d.Finish() != nil || magic != storeHelloMagic {
 		return errors.New("not a store server (bad hello magic)")
 	}
 	sc.pinMu.Lock()
@@ -475,14 +476,14 @@ func (sc *serverConns) drainClose() {
 // clear stale shard claims (a fresh client session does; a reconnect
 // must not, its own workers hold claims).
 func helloBody(politenessDays float64, clearClaims bool) []byte {
-	var e enc
+	var e seglog.Enc
 	if politenessDays >= 0 {
-		e.bool(true).f64(politenessDays)
+		e.Bool(true).F64(politenessDays)
 	} else {
-		e.bool(false)
+		e.Bool(false)
 	}
-	e.bool(clearClaims)
-	return e.b
+	e.Bool(clearClaims)
+	return e.B
 }
 
 // Dial connects to a static cluster of shard servers, one Dialer per
@@ -655,9 +656,9 @@ func (rs *RemoteShards) Push(url string, due, priority float64) {
 	}
 	t := rs.t()
 	sc := t.servers[t.serverOf(url)]
-	var e enc
-	e.fix64(rs.nextReq()).str(url).f64(due).f64(priority)
-	if _, err := sc.roundTrip(opPush, e.b); err != nil {
+	var e seglog.Enc
+	e.Fix64(rs.nextReq()).Str(url).F64(due).F64(priority)
+	if _, err := sc.roundTrip(opPush, e.B); err != nil {
 		rs.fail(err)
 	}
 }
@@ -699,10 +700,10 @@ func (rs *RemoteShards) PushBatch(entries []frontier.Entry) {
 			sc := t.servers[si]
 			for off := 0; off < len(group); off += pushBatchChunk {
 				chunk := group[off:min(off+pushBatchChunk, len(group))]
-				var e enc
-				e.fix64(rs.nextReq())
+				var e seglog.Enc
+				e.Fix64(rs.nextReq())
 				encodeEntries(&e, chunk)
-				if _, err := sc.roundTrip(opPushBatch, e.b); err != nil {
+				if _, err := sc.roundTrip(opPushBatch, e.B); err != nil {
 					errs[si] = err
 					return
 				}
@@ -782,21 +783,21 @@ func (rs *RemoteShards) ApplyRound(pops, removes []string, pushes []frontier.Ent
 		go func(si int, r *svrRound) {
 			defer wg.Done()
 			sc := t.servers[si]
-			var e enc
-			e.fix64(rs.nextReq())
-			encodeStrings(&e, "", r.pops)
-			encodeStrings(&e, "", r.removes)
+			var e seglog.Enc
+			e.Fix64(rs.nextReq())
+			e.Strings("", r.pops)
+			e.Strings("", r.removes)
 			encodeEntries(&e, r.pushes)
-			e.u32(uint32(peekMax))
-			resp, err := sc.roundTrip(opRound, e.b)
+			e.U32(uint32(peekMax))
+			resp, err := sc.roundTrip(opRound, e.B)
 			if err != nil {
 				resps[si].err = err
 				return
 			}
-			d := newDec(resp)
+			d := seglog.NewDec(resp)
 			list := decodeEntries(d)
-			complete := d.bool()
-			if d.finish() != nil {
+			complete := d.Bool()
+			if d.Finish() != nil {
 				resps[si].err = fmt.Errorf("cluster: %s: bad round response", sc.name)
 				return
 			}
@@ -875,33 +876,33 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 			op = opClaimDue
 		}
 		sc := t.servers[0]
-		var e enc
-		e.fix64(rs.nextReq()).f64(now)
-		resp, err := sc.roundTrip(op, e.b)
+		var e seglog.Enc
+		e.Fix64(rs.nextReq()).F64(now)
+		resp, err := sc.roundTrip(op, e.B)
 		if err != nil {
 			rs.fail(err)
 			return frontier.Entry{}, -1, false
 		}
-		d := newDec(resp)
+		d := seglog.NewDec(resp)
 		ent, ok := decodeEntry(d)
 		if !ok {
 			return frontier.Entry{}, -1, false
 		}
 		shard := -1
 		if claim {
-			shard = int(d.u32())
+			shard = int(d.U32())
 		}
-		if d.finish() != nil {
+		if d.Finish() != nil {
 			rs.fail(fmt.Errorf("cluster: bad pop response"))
 			return frontier.Entry{}, -1, false
 		}
 		return ent, shard, true
 	}
 
-	var peek enc
-	peek.f64(now).bool(claim) // one body, shared across servers
+	var peek seglog.Enc
+	peek.F64(now).Bool(claim) // one body, shared across servers
 	for {
-		heads, err := fanSame(t.servers, opHeadDue, peek.b)
+		heads, err := fanSame(t.servers, opHeadDue, peek.B)
 		if err != nil {
 			rs.fail(err)
 			return frontier.Entry{}, -1, false
@@ -909,8 +910,8 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 		best := -1
 		var bestE frontier.Entry
 		for i, resp := range heads {
-			d := newDec(resp)
-			if ent, ok := decodeEntry(d); ok && d.finish() == nil &&
+			d := seglog.NewDec(resp)
+			if ent, ok := decodeEntry(d); ok && d.Finish() == nil &&
 				(best < 0 || frontier.EntryBefore(ent, bestE)) {
 				best, bestE = i, ent
 			}
@@ -919,17 +920,17 @@ func (rs *RemoteShards) popDue(now float64, claim bool) (frontier.Entry, int, bo
 			return frontier.Entry{}, -1, false
 		}
 		sc := t.servers[best]
-		var commit enc
-		commit.fix64(rs.nextReq()).f64(now).str(bestE.URL).bool(claim)
-		resp, err := sc.roundTrip(opPopDueMatch, commit.b)
+		var commit seglog.Enc
+		commit.Fix64(rs.nextReq()).F64(now).Str(bestE.URL).Bool(claim)
+		resp, err := sc.roundTrip(opPopDueMatch, commit.B)
 		if err != nil {
 			rs.fail(err)
 			return frontier.Entry{}, -1, false
 		}
-		d := newDec(resp)
+		d := seglog.NewDec(resp)
 		if ent, ok := decodeEntry(d); ok {
-			local := int(d.u32())
-			if d.finish() != nil {
+			local := int(d.U32())
+			if d.Finish() != nil {
 				rs.fail(fmt.Errorf("cluster: bad pop response"))
 				return frontier.Entry{}, -1, false
 			}
@@ -958,9 +959,9 @@ func (rs *RemoteShards) Release(shard int, nextReady float64) {
 	t := rs.t()
 	si, local := t.serverOfShard(shard)
 	sc := t.servers[si]
-	var e enc
-	e.fix64(rs.nextReq()).u32(uint32(local)).f64(nextReady)
-	if _, err := sc.roundTrip(opRelease, e.b); err != nil {
+	var e seglog.Enc
+	e.Fix64(rs.nextReq()).U32(uint32(local)).F64(nextReady)
+	if _, err := sc.roundTrip(opRelease, e.B); err != nil {
 		rs.fail(err)
 	}
 }
@@ -972,15 +973,15 @@ func (rs *RemoteShards) Remove(url string) bool {
 	}
 	t := rs.t()
 	sc := t.servers[t.serverOf(url)]
-	var e enc
-	e.fix64(rs.nextReq()).str(url)
-	resp, err := sc.roundTrip(opRemove, e.b)
+	var e seglog.Enc
+	e.Fix64(rs.nextReq()).Str(url)
+	resp, err := sc.roundTrip(opRemove, e.B)
 	if err != nil {
 		rs.fail(err)
 		return false
 	}
-	d := newDec(resp)
-	return d.bool() && d.finish() == nil
+	d := seglog.NewDec(resp)
+	return d.Bool() && d.Finish() == nil
 }
 
 // Contains implements frontier.ShardSet.
@@ -990,15 +991,15 @@ func (rs *RemoteShards) Contains(url string) bool {
 	}
 	t := rs.t()
 	sc := t.servers[t.serverOf(url)]
-	var e enc
-	e.str(url)
-	resp, err := sc.roundTrip(opContains, e.b)
+	var e seglog.Enc
+	e.Str(url)
+	resp, err := sc.roundTrip(opContains, e.B)
 	if err != nil {
 		rs.fail(err)
 		return false
 	}
-	d := newDec(resp)
-	return d.bool() && d.finish() == nil
+	d := seglog.NewDec(resp)
+	return d.Bool() && d.Finish() == nil
 }
 
 // Len implements frontier.ShardSet.
@@ -1013,8 +1014,8 @@ func (rs *RemoteShards) Len() int {
 	}
 	n := 0
 	for _, resp := range resps {
-		d := newDec(resp)
-		n += int(d.u32())
+		d := seglog.NewDec(resp)
+		n += int(d.U32())
 	}
 	return n
 }
@@ -1031,9 +1032,9 @@ func (rs *RemoteShards) URLs() []string {
 	}
 	var out []string
 	for _, resp := range resps {
-		d := newDec(resp)
-		out = append(out, decodeStrings(d, "")...)
-		if d.finish() != nil {
+		d := seglog.NewDec(resp)
+		out = append(out, d.Strings("")...)
+		if d.Finish() != nil {
 			rs.fail(fmt.Errorf("cluster: bad URLs response"))
 			return nil
 		}
@@ -1055,8 +1056,8 @@ func (rs *RemoteShards) Peek() (frontier.Entry, bool) {
 	found := false
 	var bestE frontier.Entry
 	for _, resp := range resps {
-		d := newDec(resp)
-		if ent, ok := decodeEntry(d); ok && d.finish() == nil &&
+		d := seglog.NewDec(resp)
+		if ent, ok := decodeEntry(d); ok && d.Finish() == nil &&
 			(!found || frontier.EntryBefore(ent, bestE)) {
 			found, bestE = true, ent
 		}
@@ -1077,9 +1078,9 @@ func (rs *RemoteShards) NextEvent() (float64, bool) {
 	found := false
 	var next float64
 	for _, resp := range resps {
-		d := newDec(resp)
-		ok, t := d.bool(), d.f64()
-		if d.finish() == nil && ok && (!found || t < next) {
+		d := seglog.NewDec(resp)
+		ok, t := d.Bool(), d.F64()
+		if d.Finish() == nil && ok && (!found || t < next) {
 			found, next = true, t
 		}
 	}
@@ -1095,9 +1096,9 @@ func (rs *RemoteShards) Reset() error {
 		return err
 	}
 	if _, err := fan(rs.t().servers, opReset, func(int) []byte {
-		var e enc
-		e.fix64(rs.nextReq())
-		return e.b
+		var e seglog.Enc
+		e.Fix64(rs.nextReq())
+		return e.B
 	}); err != nil {
 		rs.fail(err)
 		return err
@@ -1118,10 +1119,10 @@ func (rs *RemoteShards) ShardLens() []int {
 	}
 	var out []int
 	for _, resp := range resps {
-		d := newDec(resp)
-		n := int(d.u32())
-		for j := 0; j < n && d.finish() == nil; j++ {
-			out = append(out, int(d.u32()))
+		d := seglog.NewDec(resp)
+		n := int(d.U32())
+		for j := 0; j < n && d.Finish() == nil; j++ {
+			out = append(out, int(d.U32()))
 		}
 	}
 	return out

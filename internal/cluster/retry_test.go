@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/seglog"
 )
 
 // fastRetry keeps retry tests quick without changing the retry logic.
@@ -327,14 +328,14 @@ func TestMutatingRetryAppliesOnce(t *testing.T) {
 	srv.Shards().Push("http://site001.com/a", 0, 0)
 	srv.Shards().Push("http://site002.com/b", 0, 1)
 
-	var body enc
-	body.fix64(42).f64(10)
-	st1, resp1 := srv.handle(opClaimDue, body.b)
+	var body seglog.Enc
+	body.Fix64(42).F64(10)
+	st1, resp1 := srv.handle(opClaimDue, body.B)
 	if st1 != statusOK {
 		t.Fatalf("claim failed: %s", resp1)
 	}
 	before := srv.Shards().Len()
-	st2, resp2 := srv.handle(opClaimDue, body.b)
+	st2, resp2 := srv.handle(opClaimDue, body.B)
 	if st2 != st1 || string(resp2) != string(resp1) {
 		t.Fatalf("retried claim not deduped: (%d,%q) vs (%d,%q)", st2, resp2, st1, resp1)
 	}
@@ -342,9 +343,9 @@ func TestMutatingRetryAppliesOnce(t *testing.T) {
 		t.Fatalf("retried claim re-applied: Len %d -> %d", before, after)
 	}
 	// A different request ID is a genuinely new claim.
-	var body2 enc
-	body2.fix64(43).f64(10)
-	if st, resp := srv.handle(opClaimDue, body2.b); st != statusOK {
+	var body2 seglog.Enc
+	body2.Fix64(43).F64(10)
+	if st, resp := srv.handle(opClaimDue, body2.B); st != statusOK {
 		t.Fatalf("fresh claim failed: %s", resp)
 	} else if srv.Shards().Len() != before-1 {
 		t.Fatal("fresh claim did not pop")

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/seglog"
 )
 
 // ErrServerClosed is returned by Serve after Close.
@@ -225,17 +226,17 @@ func (s *ShardServer) handle(op byte, body []byte) (status byte, resp []byte) {
 	if mutatingOp(op) {
 		return s.handleMutating(op, body)
 	}
-	d := newDec(body)
-	var e enc
+	d := seglog.NewDec(body)
+	var e seglog.Enc
 	switch op {
 	case opHello:
-		apply := d.bool()
+		apply := d.Bool()
 		var gap float64
 		if apply {
-			gap = d.f64()
+			gap = d.F64()
 		}
-		clearClaims := d.bool()
-		if err := d.finish(); err != nil {
+		clearClaims := d.Bool()
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		if apply || clearClaims {
@@ -246,9 +247,9 @@ func (s *ShardServer) handle(op byte, body []byte) (status byte, resp []byte) {
 			s.walMu.Lock()
 			if s.wal != nil {
 				if apply {
-					var we enc
-					we.f64(gap)
-					if err := s.wal.append(walSetPoliteness, we.b); err != nil {
+					var we seglog.Enc
+					we.F64(gap)
+					if err := s.wal.append(walSetPoliteness, we.B); err != nil {
 						s.walMu.Unlock()
 						return statusError, []byte(fmt.Sprintf("wal append: %v", err))
 					}
@@ -271,42 +272,42 @@ func (s *ShardServer) handle(op byte, body []byte) (status byte, resp []byte) {
 			}
 			s.walMu.Unlock()
 		}
-		e.u32(uint32(s.shards.NumShards()))
+		e.U32(uint32(s.shards.NumShards()))
 	case opHeadDue:
-		now, skipClaimed := d.f64(), d.bool()
-		if d.finish() == nil {
+		now, skipClaimed := d.F64(), d.Bool()
+		if d.Finish() == nil {
 			ent, ok := s.shards.HeadDue(now, skipClaimed)
 			encodeEntry(&e, ent, ok)
 		}
 	case opContains:
-		url := d.str()
-		if d.finish() == nil {
-			e.bool(s.shards.Contains(url))
+		url := d.Str()
+		if d.Finish() == nil {
+			e.Bool(s.shards.Contains(url))
 		}
 	case opLen:
-		e.u32(uint32(s.shards.Len()))
+		e.U32(uint32(s.shards.Len()))
 	case opURLs:
-		encodeStrings(&e, "", s.shards.URLs())
+		e.Strings("", s.shards.URLs())
 	case opPeek:
 		ent, ok := s.shards.Peek()
 		encodeEntry(&e, ent, ok)
 	case opNextEvent:
 		t, ok := s.shards.NextEvent()
-		e.bool(ok).f64(t)
+		e.Bool(ok).F64(t)
 	case opStats:
 		lens := s.shards.ShardLens()
-		e.u32(uint32(len(lens)))
+		e.U32(uint32(len(lens)))
 		for _, n := range lens {
-			e.u32(uint32(n))
+			e.U32(uint32(n))
 		}
-		e.f64(s.shards.Politeness())
+		e.F64(s.shards.Politeness())
 	default:
 		return statusError, []byte(fmt.Sprintf("unknown opcode %d", op))
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return statusError, []byte(err.Error())
 	}
-	return statusOK, e.b
+	return statusOK, e.B
 }
 
 // handleMutating runs one state-mutating request: dedup check, apply,
@@ -324,9 +325,9 @@ func (s *ShardServer) handle(op byte, body []byte) (status byte, resp []byte) {
 // acknowledged, which the client retries against the recovered state
 // (where it re-executes deterministically).
 func (s *ShardServer) handleMutating(op byte, body []byte) (status byte, resp []byte) {
-	d := newDec(body)
-	reqID := d.fix64()
-	if d.finish() != nil {
+	d := seglog.NewDec(body)
+	reqID := d.Fix64()
+	if d.Finish() != nil {
 		return statusError, []byte("missing request id")
 	}
 	s.walMu.Lock()
@@ -357,12 +358,12 @@ func (s *ShardServer) handleMutating(op byte, body []byte) (status byte, resp []
 // It is the single apply path shared by live requests and WAL replay,
 // which is what makes replay reconstruct the exact served state and
 // responses.
-func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, mutated bool) {
-	var e enc
+func (s *ShardServer) applyMutating(op byte, d *seglog.Dec) (status byte, resp []byte, mutated bool) {
+	var e seglog.Enc
 	switch op {
 	case opPush:
-		url, due, prio := d.str(), d.f64(), d.f64()
-		if d.finish() == nil {
+		url, due, prio := d.Str(), d.F64(), d.F64()
+		if d.Finish() == nil {
 			s.shards.Push(url, due, prio)
 			mutated = true
 		}
@@ -370,41 +371,41 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 		// Decode fully before applying: a malformed frame must not
 		// half-apply a batch.
 		batch := decodeEntries(d)
-		if d.finish() == nil {
+		if d.Finish() == nil {
 			s.shards.PushBatch(batch)
-			e.u32(uint32(len(batch)))
+			e.U32(uint32(len(batch)))
 			mutated = len(batch) > 0
 		}
 	case opPopDue:
-		now := d.f64()
-		if d.finish() == nil {
+		now := d.F64()
+		if d.Finish() == nil {
 			ent, ok := s.shards.PopDue(now)
 			encodeEntry(&e, ent, ok)
 			mutated = ok
 		}
 	case opClaimDue:
-		now := d.f64()
-		if d.finish() == nil {
+		now := d.F64()
+		if d.Finish() == nil {
 			ent, shard, ok := s.shards.ClaimDue(now)
 			encodeEntry(&e, ent, ok)
 			if ok {
-				e.u32(uint32(shard))
+				e.U32(uint32(shard))
 			}
 			mutated = ok
 		}
 	case opPopDueMatch:
-		now, url, claim := d.f64(), d.str(), d.bool()
-		if d.finish() == nil {
+		now, url, claim := d.F64(), d.Str(), d.Bool()
+		if d.Finish() == nil {
 			ent, shard, ok := s.shards.PopDueMatch(now, url, claim)
 			encodeEntry(&e, ent, ok)
 			if ok {
-				e.u32(uint32(shard))
+				e.U32(uint32(shard))
 			}
 			mutated = ok
 		}
 	case opRelease:
-		shard, nextReady := d.u32(), d.f64()
-		if d.finish() == nil {
+		shard, nextReady := d.U32(), d.F64()
+		if d.Finish() == nil {
 			if int(shard) >= s.shards.NumShards() {
 				return statusError, []byte(fmt.Sprintf("release of unknown shard %d", shard)), false
 			}
@@ -412,10 +413,10 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 			mutated = true
 		}
 	case opRemove:
-		url := d.str()
-		if d.finish() == nil {
+		url := d.Str()
+		if d.Finish() == nil {
 			removed := s.shards.Remove(url)
-			e.bool(removed)
+			e.Bool(removed)
 			mutated = removed
 		}
 	case opReset:
@@ -426,17 +427,17 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 		// client's engine already consumed), drops, reschedules, and
 		// the next candidate peek — decoded fully before applying so a
 		// malformed frame cannot half-apply.
-		pops := decodeStrings(d, "")
-		removes := decodeStrings(d, "")
+		pops := d.Strings("")
+		removes := d.Strings("")
 		pushes := decodeEntries(d)
-		peekMax := int(d.u32())
-		if d.finish() == nil {
+		peekMax := int(d.U32())
+		if d.Finish() == nil {
 			cands, _, bounded, ok := s.shards.ApplyRound(pops, removes, pushes, peekMax)
 			if !ok {
 				return statusError, []byte("round ops need a zero politeness gap"), false
 			}
 			encodeEntries(&e, cands)
-			e.bool(!bounded) // complete: cands are the whole queue
+			e.Bool(!bounded) // complete: cands are the whole queue
 			mutated = len(pops)+len(removes)+len(pushes) > 0
 		}
 	case opShardExport:
@@ -452,14 +453,14 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 		// only the first max matching entries in URL order strictly
 		// after the cursor, a dedup tail on the first chunk only, and a
 		// trailing more flag.
-		parts := int(d.u32())
-		n := int(d.u32())
+		parts := int(d.U32())
+		n := int(d.U32())
 		set := make(map[int]bool, min(n, 1<<16))
-		for i := 0; i < n && d.finish() == nil; i++ {
-			set[int(d.u32())] = true
+		for i := 0; i < n && d.Finish() == nil; i++ {
+			set[int(d.U32())] = true
 		}
-		after, maxN := d.str(), int(d.u32())
-		if d.finish() == nil {
+		after, maxN := d.Str(), int(d.U32())
+		if d.Finish() == nil {
 			if parts <= 0 || parts > 1<<20 {
 				return statusError, []byte(fmt.Sprintf("export with bad partition count %d", parts)), false
 			}
@@ -467,37 +468,37 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 			encodeEntries(&e, entries)
 			if after == "" {
 				tail := s.dedup.tail(exportDedupEntries, exportDedupBytes)
-				e.u32(uint32(len(tail)))
+				e.U32(uint32(len(tail)))
 				for _, de := range tail {
-					e.fix64(de.id).u8(de.status).bytes(de.resp)
+					e.Fix64(de.id).U8(de.status).Bytes(de.resp)
 				}
 			} else {
-				e.u32(0)
+				e.U32(0)
 			}
-			e.bool(more)
+			e.Bool(more)
 			migrationExportEntries.Add(int64(len(entries)))
-			migrationHandoffBytes.With("export").Observe(float64(len(e.b)))
+			migrationHandoffBytes.With("export").Observe(float64(len(e.B)))
 			mutated = len(entries) > 0
 		}
 	case opShardImport:
 		// Decode fully before applying: a malformed frame must not
 		// half-install a migration.
-		reqLen := len(d.b)
+		reqLen := d.Len()
 		entries := decodeEntries(d)
-		dn := int(d.u32())
+		dn := int(d.U32())
 		pairs := make([]dedupEntry, 0, min(dn, 1<<16))
-		for i := 0; i < dn && d.finish() == nil; i++ {
-			id, st, resp := d.fix64(), d.u8(), d.bytes()
-			if d.finish() == nil {
+		for i := 0; i < dn && d.Finish() == nil; i++ {
+			id, st, resp := d.Fix64(), d.U8(), d.Bytes()
+			if d.Finish() == nil {
 				pairs = append(pairs, dedupEntry{id: id, status: st, resp: append([]byte(nil), resp...)})
 			}
 		}
-		if d.finish() == nil {
+		if d.Finish() == nil {
 			s.shards.PushBatch(entries)
 			for _, p := range pairs {
 				s.dedup.put(p.id, p.status, p.resp)
 			}
-			e.u32(uint32(len(entries)))
+			e.U32(uint32(len(entries)))
 			migrationImportEntries.Add(int64(len(entries)))
 			migrationHandoffBytes.With("import").Observe(float64(reqLen))
 			mutated = len(entries) > 0 || len(pairs) > 0
@@ -505,21 +506,21 @@ func (s *ShardServer) applyMutating(op byte, d *dec) (status byte, resp []byte, 
 	default:
 		return statusError, []byte(fmt.Sprintf("unknown mutating opcode %d", op)), false
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return statusError, []byte(err.Error()), false
 	}
-	return statusOK, e.b, mutated
+	return statusOK, e.B, mutated
 }
 
 // decodeEntries decodes a counted frontier.Entry list, front-coded
 // URLs included (encodeEntries's inverse).
-func decodeEntries(d *dec) []frontier.Entry {
-	n := int(d.u32())
+func decodeEntries(d *seglog.Dec) []frontier.Entry {
+	n := int(d.U32())
 	out := make([]frontier.Entry, 0, min(n, 1<<16))
 	prev := ""
-	for i := 0; i < n && d.finish() == nil; i++ {
-		ent := frontier.Entry{URL: d.strDelta(prev), Due: d.f64(), Priority: d.f64()}
-		if d.finish() == nil {
+	for i := 0; i < n && d.Finish() == nil; i++ {
+		ent := frontier.Entry{URL: d.StrDelta(prev), Due: d.F64(), Priority: d.F64()}
+		if d.Finish() == nil {
 			out = append(out, ent)
 			prev = ent.URL
 		}
@@ -630,29 +631,29 @@ type dedupEntry struct {
 // travel sorted (per shard, per batch group), so each URL is
 // front-coded against the previous entry's; Due/Priority stay fixed
 // f64s.
-func encodeEntries(e *enc, list []frontier.Entry) {
-	e.u32(uint32(len(list)))
+func encodeEntries(e *seglog.Enc, list []frontier.Entry) {
+	e.U32(uint32(len(list)))
 	prev := ""
 	for _, ent := range list {
-		e.strDelta(prev, ent.URL)
-		e.f64(ent.Due).f64(ent.Priority)
+		e.StrDelta(prev, ent.URL)
+		e.F64(ent.Due).F64(ent.Priority)
 		prev = ent.URL
 	}
 }
 
 // encodeEntry appends ok and, when set, the entry fields.
-func encodeEntry(e *enc, ent frontier.Entry, ok bool) {
-	e.bool(ok)
+func encodeEntry(e *seglog.Enc, ent frontier.Entry, ok bool) {
+	e.Bool(ok)
 	if ok {
-		e.str(ent.URL).f64(ent.Due).f64(ent.Priority)
+		e.Str(ent.URL).F64(ent.Due).F64(ent.Priority)
 	}
 }
 
 // decodeEntry is encodeEntry's inverse.
-func decodeEntry(d *dec) (frontier.Entry, bool) {
-	if !d.bool() {
+func decodeEntry(d *seglog.Dec) (frontier.Entry, bool) {
+	if !d.Bool() {
 		return frontier.Entry{}, false
 	}
-	ent := frontier.Entry{URL: d.str(), Due: d.f64(), Priority: d.f64()}
-	return ent, d.err == nil
+	ent := frontier.Entry{URL: d.Str(), Due: d.F64(), Priority: d.F64()}
+	return ent, d.Finish() == nil
 }

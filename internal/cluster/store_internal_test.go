@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"webevolve/internal/seglog"
 	"webevolve/internal/store"
 )
 
@@ -32,21 +33,21 @@ func TestStoreURLsChunking(t *testing.T) {
 		if chunks > n {
 			t.Fatal("URLs chunking never finished")
 		}
-		var e enc
-		e.str("c").str(after).u32(5)
-		status, resp := srv.handle(opStoreURLs, e.b)
+		var e seglog.Enc
+		e.Str("c").Str(after).U32(5)
+		status, resp := srv.handle(opStoreURLs, e.B)
 		if status != statusOK {
 			t.Fatalf("chunk after %q: %s", after, resp)
 		}
-		d := &dec{b: resp}
-		chunk := decodeStrings(d, after)
+		d := seglog.NewDec(resp)
+		chunk := d.Strings(after)
 		cn := len(chunk)
 		if cn > 5 {
 			t.Fatalf("chunk of %d exceeds max 5", cn)
 		}
 		got = append(got, chunk...)
-		done := d.bool()
-		if err := d.finish(); err != nil {
+		done := d.Bool()
+		if err := d.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		if done {

@@ -374,3 +374,50 @@ func TestStoreServerRejectsBadNames(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordNilEmptyMatchesRemote pins how nil and empty Links and
+// Content come back: store.Disk and RemoteStore (over a mem server)
+// share one record codec, so both must return exactly the same record
+// — empty decoding as nil — whichever was put.
+func TestRecordNilEmptyMatchesRemote(t *testing.T) {
+	srv := NewMemStoreServer()
+	t.Cleanup(func() { srv.Close() })
+	rs, err := LoopbackStore(srv, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	disk, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	remote := rs.Collection("pages")
+
+	recs := []store.PageRecord{
+		{URL: "http://a.com/nil"},
+		{URL: "http://a.com/empty", Links: []string{}, Content: []byte{}},
+		{URL: "http://a.com/full", Links: []string{"http://a.com/x"}, Content: []byte("x")},
+	}
+	for _, c := range []store.Collection{disk, remote} {
+		if err := c.PutBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range recs {
+		got, ok, err := disk.Get(r.URL)
+		if err != nil || !ok {
+			t.Fatalf("disk get %s: ok=%v err=%v", r.URL, ok, err)
+		}
+		want, ok, err := remote.Get(r.URL)
+		if err != nil || !ok {
+			t.Fatalf("remote get %s: ok=%v err=%v", r.URL, ok, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: disk %#v, remote %#v", r.URL, got, want)
+		}
+		if len(r.Links) == 0 && (got.Links != nil || got.Content != nil) {
+			t.Fatalf("%s: empty fields decoded non-nil: %#v", r.URL, got)
+		}
+	}
+}

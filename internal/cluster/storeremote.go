@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"webevolve/internal/registry"
+	"webevolve/internal/seglog"
 	"webevolve/internal/store"
 )
 
@@ -182,14 +183,14 @@ func (rs *RemoteStore) ListCollections() ([]string, error) {
 		if err != nil {
 			return nil, rs.fail(err)
 		}
-		d := newDec(resp)
-		for _, name := range decodeStrings(d, "") {
+		d := seglog.NewDec(resp)
+		for _, name := range d.Strings("") {
 			if !seen[name] {
 				seen[name] = true
 				out = append(out, name)
 			}
 		}
-		if err := d.finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			return nil, rs.fail(fmt.Errorf("cluster: bad list response: %w", err))
 		}
 	}
@@ -204,9 +205,9 @@ func (rs *RemoteStore) ListCollections() ([]string, error) {
 // longer pins it to.
 func (rs *RemoteStore) DropCollection(name string) error {
 	for _, sc := range rs.members {
-		var e enc
-		e.fix64(rs.nextReq()).str(name)
-		if _, err := sc.roundTrip(opStoreDrop, e.b); err != nil {
+		var e seglog.Enc
+		e.Fix64(rs.nextReq()).Str(name)
+		if _, err := sc.roundTrip(opStoreDrop, e.B); err != nil {
 			return rs.fail(err)
 		}
 	}
@@ -218,9 +219,9 @@ func (rs *RemoteStore) DropCollection(name string) error {
 // called on a store being used incrementally (it deletes the data).
 func (rs *RemoteStore) Reset() error {
 	for _, sc := range rs.members {
-		var e enc
-		e.fix64(rs.nextReq())
-		if _, err := sc.roundTrip(opStoreReset, e.b); err != nil {
+		var e seglog.Enc
+		e.Fix64(rs.nextReq())
+		if _, err := sc.roundTrip(opStoreReset, e.B); err != nil {
 			return rs.fail(err)
 		}
 	}
@@ -286,16 +287,16 @@ func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 		}
 		chunk := recs[off:end]
 		off = end
-		var e enc
-		e.fix64(c.rs.nextReq())
-		e.str(c.name)
-		e.u32(uint32(len(chunk)))
+		var e seglog.Enc
+		e.Fix64(c.rs.nextReq())
+		e.Str(c.name)
+		e.U32(uint32(len(chunk)))
 		prev := ""
 		for _, rec := range chunk {
-			encodeRecord(&e, prev, rec)
+			store.EncodeRecord(&e, prev, rec)
 			prev = rec.URL
 		}
-		if _, err := c.sc.roundTrip(opStorePutBatch, e.b); err != nil {
+		if _, err := c.sc.roundTrip(opStorePutBatch, e.B); err != nil {
 			return c.rs.fail(err)
 		}
 	}
@@ -304,18 +305,18 @@ func (c *remoteColl) PutBatch(recs []store.PageRecord) error {
 
 // Get implements store.Collection.
 func (c *remoteColl) Get(url string) (store.PageRecord, bool, error) {
-	var e enc
-	e.str(c.name).str(url)
-	resp, err := c.sc.roundTrip(opStoreGet, e.b)
+	var e seglog.Enc
+	e.Str(c.name).Str(url)
+	resp, err := c.sc.roundTrip(opStoreGet, e.B)
 	if err != nil {
 		return store.PageRecord{}, false, c.rs.fail(err)
 	}
-	d := newDec(resp)
-	if !d.bool() {
-		return store.PageRecord{}, false, d.finish()
+	d := seglog.NewDec(resp)
+	if !d.Bool() {
+		return store.PageRecord{}, false, d.Finish()
 	}
-	rec := decodeRecord(d, "")
-	if err := d.finish(); err != nil {
+	rec := store.DecodeRecord(d, "")
+	if err := d.Finish(); err != nil {
 		return store.PageRecord{}, false, c.rs.fail(fmt.Errorf("cluster: bad get response: %w", err))
 	}
 	return rec, true, nil
@@ -323,9 +324,9 @@ func (c *remoteColl) Get(url string) (store.PageRecord, bool, error) {
 
 // Delete implements store.Collection.
 func (c *remoteColl) Delete(url string) error {
-	var e enc
-	e.fix64(c.rs.nextReq()).str(c.name).str(url)
-	if _, err := c.sc.roundTrip(opStoreDelete, e.b); err != nil {
+	var e seglog.Enc
+	e.Fix64(c.rs.nextReq()).Str(c.name).Str(url)
+	if _, err := c.sc.roundTrip(opStoreDelete, e.B); err != nil {
 		return c.rs.fail(err)
 	}
 	return nil
@@ -334,15 +335,15 @@ func (c *remoteColl) Delete(url string) error {
 // Len implements store.Collection; transport failures are recorded in
 // Err and read as empty.
 func (c *remoteColl) Len() int {
-	var e enc
-	e.str(c.name)
-	resp, err := c.sc.roundTrip(opStoreLen, e.b)
+	var e seglog.Enc
+	e.Str(c.name)
+	resp, err := c.sc.roundTrip(opStoreLen, e.B)
 	if err != nil {
 		c.rs.fail(err)
 		return 0
 	}
-	d := newDec(resp)
-	return int(d.u32())
+	d := seglog.NewDec(resp)
+	return int(d.U32())
 }
 
 // URLs implements store.Collection; the sorted list arrives in bounded
@@ -352,17 +353,17 @@ func (c *remoteColl) URLs() []string {
 	var out []string
 	after := ""
 	for {
-		var e enc
-		e.str(c.name).str(after).u32(storeURLsChunk)
-		resp, err := c.sc.roundTrip(opStoreURLs, e.b)
+		var e seglog.Enc
+		e.Str(c.name).Str(after).U32(storeURLsChunk)
+		resp, err := c.sc.roundTrip(opStoreURLs, e.B)
 		if err != nil {
 			c.rs.fail(err)
 			return nil
 		}
-		d := newDec(resp)
-		chunk := decodeStrings(d, after)
-		done := d.bool()
-		if d.finish() != nil {
+		d := seglog.NewDec(resp)
+		chunk := d.Strings(after)
+		done := d.Bool()
+		if d.Finish() != nil {
 			c.rs.fail(errors.New("cluster: bad URLs response"))
 			return nil
 		}
@@ -388,17 +389,17 @@ func (c *remoteColl) Scan(fn func(store.PageRecord) bool) error {
 // simply seeds the first chunk's cursor.
 func (c *remoteColl) ScanFrom(after string, fn func(store.PageRecord) bool) error {
 	for {
-		var e enc
-		e.str(c.name).str(after).u32(storeScanChunk)
-		resp, err := c.sc.roundTrip(opStoreScan, e.b)
+		var e seglog.Enc
+		e.Str(c.name).Str(after).U32(storeScanChunk)
+		resp, err := c.sc.roundTrip(opStoreScan, e.B)
 		if err != nil {
 			return c.rs.fail(err)
 		}
-		d := newDec(resp)
-		n := int(d.u32())
+		d := seglog.NewDec(resp)
+		n := int(d.U32())
 		for i := 0; i < n; i++ {
-			rec := decodeRecord(d, after)
-			if err := d.finish(); err != nil {
+			rec := store.DecodeRecord(d, after)
+			if err := d.Finish(); err != nil {
 				return c.rs.fail(fmt.Errorf("cluster: bad scan response: %w", err))
 			}
 			if !fn(rec) {
@@ -406,8 +407,8 @@ func (c *remoteColl) ScanFrom(after string, fn func(store.PageRecord) bool) erro
 			}
 			after = rec.URL
 		}
-		done := d.bool()
-		if err := d.finish(); err != nil {
+		done := d.Bool()
+		if err := d.Finish(); err != nil {
 			return c.rs.fail(fmt.Errorf("cluster: bad scan response: %w", err))
 		}
 		if done {
@@ -423,9 +424,9 @@ func (c *remoteColl) Close() error {
 	if !c.dropOnClose {
 		return nil
 	}
-	var e enc
-	e.fix64(c.rs.nextReq()).str(c.name)
-	if _, err := c.sc.roundTrip(opStoreDrop, e.b); err != nil {
+	var e seglog.Enc
+	e.Fix64(c.rs.nextReq()).Str(c.name)
+	if _, err := c.sc.roundTrip(opStoreDrop, e.B); err != nil {
 		return c.rs.fail(err)
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"webevolve/internal/seglog"
 	"webevolve/internal/store"
 )
 
@@ -258,23 +259,23 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 	if storeMutatingOp(op) {
 		return s.handleMutating(op, body)
 	}
-	d := newDec(body)
-	var e enc
+	d := seglog.NewDec(body)
+	var e seglog.Enc
 	switch op {
 	case opStoreHello:
-		e.u32(storeHelloMagic).bool(s.durable).u64(s.boot)
+		e.U32(storeHelloMagic).Bool(s.durable).U64(s.boot)
 	case opStoreList:
-		if err := d.finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		names, err := s.collectionNames()
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		encodeStrings(&e, "", names)
+		e.Strings("", names)
 	case opStoreGet:
-		name, url := d.str(), d.str()
-		if err := d.finish(); err != nil {
+		name, url := d.Str(), d.Str()
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		c, err := s.coll(name)
@@ -285,27 +286,27 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		e.bool(ok)
+		e.Bool(ok)
 		if ok {
-			encodeRecord(&e, "", rec)
+			store.EncodeRecord(&e, "", rec)
 		}
 	case opStoreLen:
-		name := d.str()
-		if err := d.finish(); err != nil {
+		name := d.Str()
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		c, err := s.coll(name)
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		e.u32(uint32(c.Len()))
+		e.U32(uint32(c.Len()))
 	case opStoreURLs:
 		// Chunked like the scan: one bounded frame of sorted URLs
 		// strictly after `after`, with a done flag — a URL list of any
 		// size stays sendable under maxFrame.
-		name, after := d.str(), d.str()
-		maxURLs := int(d.u32())
-		if err := d.finish(); err != nil {
+		name, after := d.Str(), d.Str()
+		maxURLs := int(d.U32())
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		if maxURLs <= 0 || maxURLs > storeURLsChunk {
@@ -350,15 +351,15 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 		}
 		// Front-code against the resume cursor: both sides know `after`,
 		// and the chunk's sorted URLs usually share its site prefix.
-		encodeStrings(&e, after, chunk)
-		e.bool(done)
+		e.Strings(after, chunk)
+		e.Bool(done)
 	case opStoreScan:
 		// One chunk of the sorted scan, resuming strictly after `after`
 		// (empty = from the start). done means the chunk reached the end
 		// of the collection.
-		name, after := d.str(), d.str()
-		maxRecs := int(d.u32())
-		if err := d.finish(); err != nil {
+		name, after := d.Str(), d.Str()
+		maxRecs := int(d.U32())
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		if maxRecs <= 0 || maxRecs > storeScanChunk {
@@ -387,26 +388,26 @@ func (s *StoreServer) handle(op byte, body []byte) (status byte, resp []byte) {
 		if err != nil {
 			return statusError, []byte(err.Error())
 		}
-		e.u32(uint32(len(recs)))
+		e.U32(uint32(len(recs)))
 		prev := after
 		for _, r := range recs {
-			encodeRecord(&e, prev, r)
+			store.EncodeRecord(&e, prev, r)
 			prev = r.URL
 		}
-		e.bool(done)
+		e.Bool(done)
 	default:
 		return statusError, []byte(fmt.Sprintf("unknown opcode %d", op))
 	}
-	return statusOK, e.b
+	return statusOK, e.B
 }
 
 // handleMutating runs one state-mutating store request under reqMu with
 // request-ID dedup, mirroring the frontier server's exactly-once retry
 // contract.
 func (s *StoreServer) handleMutating(op byte, body []byte) (status byte, resp []byte) {
-	d := newDec(body)
-	reqID := d.fix64()
-	if d.finish() != nil {
+	d := seglog.NewDec(body)
+	reqID := d.Fix64()
+	if d.Finish() != nil {
 		return statusError, []byte("missing request id")
 	}
 	s.reqMu.Lock()
@@ -421,13 +422,13 @@ func (s *StoreServer) handleMutating(op byte, body []byte) (status byte, resp []
 
 // applyMutating applies one mutating store op whose request ID has
 // already been consumed from d.
-func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) {
-	var e enc
+func (s *StoreServer) applyMutating(op byte, d *seglog.Dec) (status byte, resp []byte) {
+	var e seglog.Enc
 	switch op {
 	case opStorePutBatch:
-		name := d.str()
-		recs := decodeRecords(d)
-		if err := d.finish(); err != nil {
+		name := d.Str()
+		recs := decodeBatch(d)
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		c, err := s.coll(name)
@@ -437,10 +438,10 @@ func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) 
 		if err := c.PutBatch(recs); err != nil {
 			return statusError, []byte(err.Error())
 		}
-		e.u32(uint32(len(recs)))
+		e.U32(uint32(len(recs)))
 	case opStoreDelete:
-		name, url := d.str(), d.str()
-		if err := d.finish(); err != nil {
+		name, url := d.Str(), d.Str()
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		c, err := s.coll(name)
@@ -451,8 +452,8 @@ func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) 
 			return statusError, []byte(err.Error())
 		}
 	case opStoreDrop:
-		name := d.str()
-		if err := d.finish(); err != nil {
+		name := d.Str()
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		if !validCollName(name) {
@@ -462,7 +463,7 @@ func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) 
 			return statusError, []byte(err.Error())
 		}
 	case opStoreReset:
-		if err := d.finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			return statusError, []byte(err.Error())
 		}
 		if err := s.reset(); err != nil {
@@ -471,7 +472,7 @@ func (s *StoreServer) applyMutating(op byte, d *dec) (status byte, resp []byte) 
 	default:
 		return statusError, []byte(fmt.Sprintf("unknown mutating opcode %d", op))
 	}
-	return statusOK, e.b
+	return statusOK, e.B
 }
 
 // dropColl closes a collection and removes its backing data. Dropping a
@@ -527,47 +528,15 @@ func (s *StoreServer) reset() error {
 	return err
 }
 
-// encodeRecord appends one store.PageRecord to the body. prev is the
-// previous record's URL in the frame (the resume cursor for the first
-// record of a chunk; "" when the record stands alone) — the URL is
-// front-coded against it, and the links against the record's
-// own URL, which same-site links usually extend. The checksum is a
-// uniform 64-bit hash, so it stays fixed-width.
-func encodeRecord(e *enc, prev string, r store.PageRecord) {
-	e.strDelta(prev, r.URL)
-	e.fix64(r.Checksum)
-	e.f64(r.FetchedAt)
-	e.u64(uint64(int64(r.Version)))
-	encodeStrings(e, r.URL, r.Links)
-	e.bytes(r.Content)
-	e.f64(r.Importance)
-}
-
-// decodeRecord is encodeRecord's inverse.
-func decodeRecord(d *dec, prev string) store.PageRecord {
-	r := store.PageRecord{
-		URL:       d.strDelta(prev),
-		Checksum:  d.fix64(),
-		FetchedAt: d.f64(),
-		Version:   int(int64(d.u64())),
-	}
-	r.Links = decodeStrings(d, r.URL)
-	// Empty decodes as nil, so a record round-trips to the same JSON
-	// the local disk store would have framed.
-	r.Content = d.bytes()
-	r.Importance = d.f64()
-	return r
-}
-
-// decodeRecords decodes a u32-counted record list, front-coded from an
+// decodeBatch decodes a u32-counted record list, front-coded from an
 // empty previous URL.
-func decodeRecords(d *dec) []store.PageRecord {
-	n := int(d.u32())
+func decodeBatch(d *seglog.Dec) []store.PageRecord {
+	n := int(d.U32())
 	out := make([]store.PageRecord, 0, min(n, 1<<16))
 	prev := ""
-	for i := 0; i < n && d.finish() == nil; i++ {
-		r := decodeRecord(d, prev)
-		if d.finish() == nil {
+	for i := 0; i < n && d.Finish() == nil; i++ {
+		r := store.DecodeRecord(d, prev)
+		if d.Finish() == nil {
 			out = append(out, r)
 			prev = r.URL
 		}

@@ -4,23 +4,22 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/seglog"
 )
 
 // Frontier persistence for the shard server: an append-only write-ahead
 // log of the mutating wire ops, compacted into full-state snapshots.
 //
-// The WAL reuses the wire protocol's frame discipline (length prefix,
-// CRC, version — proto.go), the same torn-write recovery contract as
-// store.Disk (replay stops at the first invalid frame and truncates the
-// file back to the last valid one), and the server's single mutating
-// apply path: a log record is exactly the (op, body) the client sent,
-// request ID included. Replaying a log therefore reconstructs not just
+// The WAL is a seglog log of wire frames (length prefix, CRC, version
+// — proto.go), replayed with seglog's recovery sweep (it stops at the
+// first invalid frame and truncates the file back to the last valid
+// one), through the server's single mutating apply path: a log record
+// is exactly the (op, body) the client sent, request ID included. Replaying a log therefore reconstructs not just
 // the frontier but the response-dedup cache, so a client retry that
 // spans a server crash still gets exactly-once semantics.
 //
@@ -81,7 +80,8 @@ func walFilePath(dir string, seq uint64) string {
 }
 
 // walFileSeqs lists the log-file sequence numbers present in dir,
-// ascending.
+// ascending. A name counts only if walFilePath gives it back exactly:
+// Sscanf alone also matches a stray "frontier-00000003.wal.bak".
 func walFileSeqs(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -90,7 +90,7 @@ func walFileSeqs(dir string) ([]uint64, error) {
 	var seqs []uint64
 	for _, e := range entries {
 		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), walFilePat, &seq); n == 1 {
+		if n, _ := fmt.Sscanf(e.Name(), walFilePat, &seq); n == 1 && fmt.Sprintf(walFilePat, seq) == e.Name() {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -169,57 +169,44 @@ func (s *ShardServer) OpenWAL(dir string) error {
 }
 
 // replayWALFileLocked feeds one log file's frames through the mutating
-// apply path. The first invalid frame (torn write from a crash, or
-// corruption) ends the replay and the file is truncated back to the
-// last valid frame.
+// apply path, with seglog's recovery sweep: the first invalid frame
+// (torn write from a crash, or corruption) ends the replay and the file
+// is truncated back to the last valid frame. An intact frame from
+// another build is not a torn tail: the log is refused and left as it
+// is.
 func (s *ShardServer) replayWALFileLocked(path string) error {
 	f, err := os.OpenFile(path, os.O_RDWR, walFilePerm)
 	if err != nil {
 		return fmt.Errorf("cluster: wal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	var good int64
-	for {
-		op, body, wire, err := readFrame(r)
-		if err == io.EOF {
-			return nil
-		}
-		var ve *versionError
-		if errors.As(err, &ve) {
-			// An intact frame from another build is not a torn tail:
-			// refuse the log and leave it untouched.
-			return fmt.Errorf("cluster: wal: %s: %w", path, err)
-		}
+	_, _, err = seglog.Recover(f, func(_ int64, payload []byte) error {
+		op, body, err := openPayload(payload)
 		if err != nil {
-			// Torn or corrupt tail: sweep back to the last valid frame.
-			if terr := f.Truncate(good); terr != nil {
-				return fmt.Errorf("cluster: wal: truncating %s: %w", path, terr)
-			}
-			return nil
+			return err
 		}
+		d := seglog.NewDec(body)
 		switch {
 		case op == walSetPoliteness:
-			d := newDec(body)
-			gap := d.f64()
-			if d.finish() == nil {
+			if gap := d.F64(); d.Finish() == nil {
 				s.shards.SetPoliteness(gap)
 			}
 		case op == walClearClaims:
 			s.shards.ClearClaims()
 		case mutatingOp(op):
-			d := newDec(body)
-			reqID := d.fix64()
-			if d.finish() == nil {
-				if _, _, ok := s.dedup.get(reqID); !ok {
-					status, resp, _ := s.applyMutating(op, d)
-					s.dedup.put(reqID, status, resp)
-				}
+			reqID := d.Fix64()
+			if _, _, seen := s.dedup.get(reqID); d.Finish() == nil && !seen {
+				status, resp, _ := s.applyMutating(op, d)
+				s.dedup.put(reqID, status, resp)
 			}
 		}
 		walReplayedFrames.Inc()
-		good += int64(wire)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: wal: %s: %w", path, err)
 	}
+	return nil
 }
 
 // loadSnapshotLocked restores the snapshot file if present, returning
@@ -253,18 +240,18 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 	if kind != walSnapHeader {
 		return 0, fmt.Errorf("cluster: wal: %s is not a snapshot (kind %d)", path, kind)
 	}
-	d := newDec(body)
-	seq := d.u64()
-	politeness := d.f64()
-	nshards := int(d.u32())
-	if d.finish() != nil || nshards > walMaxShards {
-		return corrupt(d.finish())
+	d := seglog.NewDec(body)
+	seq := d.U64()
+	politeness := d.F64()
+	nshards := int(d.U32())
+	if d.Finish() != nil || nshards > walMaxShards {
+		return corrupt(d.Finish())
 	}
 	shardStates := make([]frontier.ShardState, 0, nshards)
-	for i := 0; i < nshards && d.finish() == nil; i++ {
-		shardStates = append(shardStates, frontier.ShardState{NextReady: d.f64(), Claimed: d.bool()})
+	for i := 0; i < nshards && d.Finish() == nil; i++ {
+		shardStates = append(shardStates, frontier.ShardState{NextReady: d.F64(), Claimed: d.Bool()})
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return corrupt(err)
 	}
 	// Apply the snapshot incrementally: entry chunks are pushed as they
@@ -282,27 +269,27 @@ func (s *ShardServer) loadSnapshotLocked(path string) (uint64, error) {
 		if err != nil {
 			return corrupt(err)
 		}
-		d := newDec(body)
+		d := seglog.NewDec(body)
 		switch kind {
 		case walSnapEntries:
 			chunk := decodeEntries(d)
-			if d.finish() == nil {
+			if d.Finish() == nil {
 				s.shards.PushBatch(chunk)
 			}
 		case walSnapDedup:
-			n := int(d.u32())
+			n := int(d.U32())
 			if n > walMaxDedup {
 				return corrupt(nil)
 			}
-			for i := 0; i < n && d.finish() == nil; i++ {
-				dedups = append(dedups, dedupEntry{id: d.fix64(), status: d.u8(), resp: []byte(d.str())})
+			for i := 0; i < n && d.Finish() == nil; i++ {
+				dedups = append(dedups, dedupEntry{id: d.Fix64(), status: d.U8(), resp: []byte(d.Str())})
 			}
 		case walSnapEnd:
 			done = true
 		default:
 			return corrupt(fmt.Errorf("unexpected record kind %d", kind))
 		}
-		if err := d.finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			return corrupt(err)
 		}
 	}
@@ -335,20 +322,20 @@ func (s *ShardServer) writeSnapshotLocked(seq uint64) error {
 	}
 	w := bufio.NewWriter(f)
 
-	var hdr enc
-	hdr.u64(seq)
-	hdr.f64(politeness)
-	hdr.u32(uint32(len(shardStates)))
+	var hdr seglog.Enc
+	hdr.U64(seq)
+	hdr.F64(politeness)
+	hdr.U32(uint32(len(shardStates)))
 	for _, ss := range shardStates {
-		hdr.f64(ss.NextReady).bool(ss.Claimed)
+		hdr.F64(ss.NextReady).Bool(ss.Claimed)
 	}
-	if _, err := writeFrame(w, walSnapHeader, hdr.b); err != nil {
+	if _, err := writeFrame(w, walSnapHeader, hdr.B); err != nil {
 		return fail(err)
 	}
 	if err := s.shards.StreamEntries(walSnapChunk, func(chunk []frontier.Entry) error {
-		var e enc
+		var e seglog.Enc
 		encodeEntries(&e, chunk)
-		_, err := writeFrame(w, walSnapEntries, e.b)
+		_, err := writeFrame(w, walSnapEntries, e.B)
 		return err
 	}); err != nil {
 		return fail(err)
@@ -356,12 +343,12 @@ func (s *ShardServer) writeSnapshotLocked(seq uint64) error {
 	dedups := s.dedup.snapshotEntries()
 	for off := 0; off < len(dedups); off += walSnapChunk {
 		chunk := dedups[off:min(off+walSnapChunk, len(dedups))]
-		var e enc
-		e.u32(uint32(len(chunk)))
+		var e seglog.Enc
+		e.U32(uint32(len(chunk)))
 		for _, de := range chunk {
-			e.fix64(de.id).u8(de.status).str(string(de.resp))
+			e.Fix64(de.id).U8(de.status).Str(string(de.resp))
 		}
-		if _, err := writeFrame(w, walSnapDedup, e.b); err != nil {
+		if _, err := writeFrame(w, walSnapDedup, e.B); err != nil {
 			return fail(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"webevolve/internal/frontier"
+	"webevolve/internal/seglog"
 )
 
 // newWALServer opens a shard server persisting to dir.
@@ -27,22 +28,22 @@ func newWALServer(t *testing.T, dir string, shards int) *ShardServer {
 // frontier directly.
 func pushVia(t *testing.T, srv *ShardServer, reqID uint64, url string, due, prio float64) {
 	t.Helper()
-	var e enc
-	e.fix64(reqID).str(url).f64(due).f64(prio)
-	if st, resp := srv.handle(opPush, e.b); st != statusOK {
+	var e seglog.Enc
+	e.Fix64(reqID).Str(url).F64(due).F64(prio)
+	if st, resp := srv.handle(opPush, e.B); st != statusOK {
 		t.Fatalf("push: %s", resp)
 	}
 }
 
 func popVia(t *testing.T, srv *ShardServer, reqID uint64, now float64) (frontier.Entry, bool) {
 	t.Helper()
-	var e enc
-	e.fix64(reqID).f64(now)
-	st, resp := srv.handle(opPopDue, e.b)
+	var e seglog.Enc
+	e.Fix64(reqID).F64(now)
+	st, resp := srv.handle(opPopDue, e.B)
 	if st != statusOK {
 		t.Fatalf("pop: %s", resp)
 	}
-	d := &dec{b: resp}
+	d := seglog.NewDec(resp)
 	ent, ok := decodeEntry(d)
 	return ent, ok
 }
@@ -190,14 +191,14 @@ func TestWALRefusesOtherProtoVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cur enc
-		cur.fix64(100).str("http://site001.com/a").f64(0).f64(0)
-		if _, err := writeFrame(f, opPush, cur.b); err != nil {
+		var cur seglog.Enc
+		cur.Fix64(100).Str("http://site001.com/a").F64(0).F64(0)
+		if _, err := writeFrame(f, opPush, cur.B); err != nil {
 			t.Fatal(err)
 		}
-		var e enc
-		e.fix64(101).str("http://site002.com/b").f64(1).f64(0)
-		writeFrameVersion(t, f, old, opPush, e.b)
+		var e seglog.Enc
+		e.Fix64(101).Str("http://site002.com/b").F64(1).F64(0)
+		writeFrameVersion(t, f, old, opPush, e.B)
 		f.Close()
 		refused(t, dir, path)
 	})
@@ -208,9 +209,9 @@ func TestWALRefusesOtherProtoVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hdr enc
-		hdr.u64(0).f64(0).u32(0)
-		writeFrameVersion(t, f, old, walSnapHeader, hdr.b)
+		var hdr seglog.Enc
+		hdr.U64(0).F64(0).U32(0)
+		writeFrameVersion(t, f, old, walSnapHeader, hdr.B)
 		writeFrameVersion(t, f, old, walSnapEnd, nil)
 		f.Close()
 		refused(t, dir, path)
@@ -236,14 +237,14 @@ func writeFrameVersion(t *testing.T, f *os.File, version, kind byte, body []byte
 // walBatchBody builds a push-batch body big enough that writeFrame
 // deflates the WAL frame (front-coded URLs, > compressMin bytes raw).
 func walBatchBody(reqID uint64, urls []string) []byte {
-	var e enc
-	e.fix64(reqID)
+	var e seglog.Enc
+	e.Fix64(reqID)
 	ents := make([]frontier.Entry, len(urls))
 	for i, u := range urls {
 		ents[i] = frontier.Entry{URL: u, Due: float64(i)}
 	}
 	encodeEntries(&e, ents)
-	return e.b
+	return e.B
 }
 
 // TestWALReplaysCompressedFrames: a current-build WAL — batch bodies big enough to ride the compression flag — must replay
@@ -375,16 +376,16 @@ func TestWALDedupSurvivesRestart(t *testing.T) {
 	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)
 	pushVia(t, srv, 2, "http://site002.com/b", 0, 1)
 
-	var claim enc
-	claim.fix64(77).f64(10)
-	st1, resp1 := srv.handle(opClaimDue, claim.b)
+	var claim seglog.Enc
+	claim.Fix64(77).F64(10)
+	st1, resp1 := srv.handle(opClaimDue, claim.B)
 	if st1 != statusOK {
 		t.Fatalf("claim: %s", resp1)
 	}
 	// Crash before the response reached the client; the client retries
 	// the identical frame against the restarted server.
 	srv2 := newWALServer(t, dir, 4)
-	st2, resp2 := srv2.handle(opClaimDue, claim.b)
+	st2, resp2 := srv2.handle(opClaimDue, claim.B)
 	if st2 != st1 || string(resp2) != string(resp1) {
 		t.Fatalf("retry across restart not deduped: (%d,%q) vs (%d,%q)", st2, resp2, st1, resp1)
 	}
@@ -433,9 +434,9 @@ func TestWALShardCountChange(t *testing.T) {
 func TestWALReplayKeepsHelloPoliteness(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(t, dir, 4)
-	var hello enc
-	hello.bool(true).f64(1.5).bool(true)
-	if st, resp := srv.handle(opHello, hello.b); st != statusOK {
+	var hello seglog.Enc
+	hello.Bool(true).F64(1.5).Bool(true)
+	if st, resp := srv.handle(opHello, hello.B); st != statusOK {
 		t.Fatalf("hello: %s", resp)
 	}
 	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)
@@ -499,5 +500,27 @@ func TestWALSkipsNoOpPops(t *testing.T) {
 	pushVia(t, srv, 999, "http://site001.com/a", 0, 0)
 	if after := sizeOf(); after == before {
 		t.Fatal("real mutation did not grow the log")
+	}
+}
+
+// TestWALIgnoresStrayFiles: a file whose name only starts like a log
+// file (a backup copy, say) is neither replayed nor removed.
+func TestWALIgnoresStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	srv := newWALServer(t, dir, 4)
+	pushVia(t, srv, 1, "http://site001.com/a", 0, 0)
+	if err := srv.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "frontier-00000009.wal.bak")
+	if err := os.WriteFile(stray, []byte("not a log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := newWALServer(t, dir, 4)
+	if got := srv2.Shards().Len(); got != 1 {
+		t.Fatalf("recovered Len = %d, want 1", got)
+	}
+	if b, err := os.ReadFile(stray); err != nil || string(b) != "not a log" {
+		t.Fatalf("stray file changed: %q, %v", b, err)
 	}
 }

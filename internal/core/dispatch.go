@@ -347,7 +347,11 @@ func (p *dispatchPool) dispatchClaims(s claimSpec) error {
 		}
 		queueScans = 0
 		e, sid, ok := s.coll.ClaimDue(s.now())
-		if !ok && inflight.Load() == 0 {
+		// One load serves both the settle check and idle: a second load
+		// could see a release that landed after the settle check was
+		// skipped, and idle would take that 0 as a drained frontier.
+		busy := inflight.Load()
+		if !ok && busy == 0 {
 			// All workers idle and their releases visible (release
 			// happens before the inflight decrement); one more claim
 			// settles whether the frontier is drained or a release
@@ -355,7 +359,7 @@ func (p *dispatchPool) dispatchClaims(s claimSpec) error {
 			e, sid, ok = s.coll.ClaimDue(s.now())
 		}
 		if !ok {
-			if !s.idle(inflight.Load(), scans) {
+			if !s.idle(busy, scans) {
 				return p.err()
 			}
 			scans++

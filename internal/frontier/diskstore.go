@@ -3,28 +3,29 @@ package frontier
 import (
 	"bufio"
 	"container/heap"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 	"os"
 	"sort"
+
+	"webevolve/internal/seglog"
 )
 
 // diskStore is the disk-backed shard store: a bitcask-style append-only
 // record log with an in-memory fingerprint index, keeping only the
 // due-soon head of the shard materialized in RAM.
 //
-// Layout. Every mutation appends one CRC-framed record to the shard's
-// log — a put (URL, due, priority) or a tombstone (URL) — so the log
+// Layout. The shard's log is a seglog log: every mutation appends one
+// frame — a put (URL, due, priority) or a tombstone (URL) — so the log
 // alone always reconstructs the live entry set: openDiskStore replays
 // it front to back (last record per fingerprint wins, tombstones
-// delete) and truncates a torn tail at the first invalid frame, the
-// same sweep discipline as the cluster WAL and store.Disk. When dead
-// bytes (overwritten puts, tombstones and what they killed) outweigh
-// live ones the log is compacted in place: live records are rewritten
-// to a temp file that is renamed over the log.
+// delete) with seglog's recovery sweep, which truncates a torn tail at
+// the first invalid frame. When dead bytes (overwritten puts,
+// tombstones and what they killed) outweigh live ones the log is
+// compacted in place: live frames are copied forward to a temp file
+// that is renamed over the log.
+//
+// Record payload: kind u8 | url (uvarint length, bytes) and, for a
+// put, due f64 | priority f64 (little endian).
 //
 // RAM. Per entry the store keeps a fingerprint-keyed index record
 // (offset, size, seq, residency bit) and, while the entry is spilled,
@@ -58,8 +59,6 @@ type diskStore struct {
 	f    *os.File
 	w    *bufio.Writer
 	wOff int64 // logical end of the log: offset of the next append
-	// dirty marks unflushed writer data; reads flush first.
-	dirty bool
 
 	index map[uint64]*idxEnt
 	spill spillHeap
@@ -121,11 +120,6 @@ func (h *spillHeap) Pop() any {
 const (
 	recPut  = byte(1)
 	recTomb = byte(2)
-	// recHeader is the per-record frame: u32 payload length, u32 CRC.
-	recHeader = 8
-	// maxRecord bounds a single record's payload; anything larger in
-	// the log is corruption.
-	maxRecord = 1 << 24
 	// readAhead is how many entries a head read keeps promoted beyond
 	// the strict minimum, so a pop burst doesn't pay one log read per
 	// pop.
@@ -148,149 +142,71 @@ func fpOf(url string) uint64 {
 	return h
 }
 
-// appendRecordBuf appends one framed record to buf and returns it.
-func appendRecordBuf(buf []byte, kind byte, url string, due, prio float64) []byte {
-	p := make([]byte, 0, 1+binary.MaxVarintLen64+len(url)+16)
-	p = append(p, kind)
-	p = binary.AppendUvarint(p, uint64(len(url)))
-	p = append(p, url...)
-	if kind == recPut {
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(due))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(prio))
-	}
-	var hdr [recHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(p)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p))
-	buf = append(buf, hdr[:]...)
-	return append(buf, p...)
-}
-
-// parseRecord decodes one record payload (the bytes after the frame
-// header, CRC already verified).
+// parseRecord decodes one record payload.
 func parseRecord(p []byte) (kind byte, url string, due, prio float64, err error) {
-	if len(p) < 2 {
-		return 0, "", 0, 0, fmt.Errorf("record too short (%d bytes)", len(p))
-	}
-	kind = p[0]
-	n, w := binary.Uvarint(p[1:])
-	if w <= 0 || n > uint64(len(p)) {
-		return 0, "", 0, 0, fmt.Errorf("bad url length")
-	}
-	rest := p[1+w:]
-	if uint64(len(rest)) < n {
-		return 0, "", 0, 0, fmt.Errorf("truncated url")
-	}
-	url = string(rest[:n])
-	rest = rest[n:]
+	d := seglog.NewDec(p)
+	kind, url = d.U8(), d.Str()
 	switch kind {
 	case recPut:
-		if len(rest) != 16 {
-			return 0, "", 0, 0, fmt.Errorf("put record with %d trailing bytes", len(rest))
-		}
-		due = math.Float64frombits(binary.LittleEndian.Uint64(rest[:8]))
-		prio = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
+		due, prio = d.F64(), d.F64()
 	case recTomb:
-		if len(rest) != 0 {
-			return 0, "", 0, 0, fmt.Errorf("tombstone with %d trailing bytes", len(rest))
-		}
 	default:
-		return 0, "", 0, 0, fmt.Errorf("unknown record kind %d", kind)
+		return 0, "", 0, 0, fmt.Errorf("%w: unknown record kind %d", seglog.ErrCorrupt, kind)
 	}
-	return kind, url, due, prio, nil
+	return kind, url, due, prio, d.End()
 }
 
-// openDiskStore opens (or creates) one shard's record log and rebuilds
-// the fingerprint index and spill heap from it, truncating a torn tail
-// back to the last valid record.
+// openDiskStore opens (or creates) one shard's record log and replays
+// it into the fingerprint index and spill heap: last record per
+// fingerprint wins, tombstones delete, and seglog's sweep truncates
+// away the first invalid frame (a torn tail from a crash, or
+// corruption) with everything after it.
 func openDiskStore(path string, budget int) (*diskStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("frontier: spill log: %w", err)
 	}
 	d := &diskStore{
 		path:     path,
 		f:        f,
+		w:        bufio.NewWriter(f),
 		index:    make(map[uint64]*idxEnt),
 		resident: newMemQueue(),
 		budget:   max(1, budget),
 	}
-	if err := d.rebuild(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(d.wOff, io.SeekStart); err != nil {
+	if d.wOff, _, err = seglog.Recover(f, d.replay); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("frontier: spill log %s: %w", path, err)
 	}
-	d.w = bufio.NewWriter(f)
+	heap.Init(&d.spill)
 	return d, nil
 }
 
-// rebuild scans the log front to back: last record per fingerprint
-// wins, tombstones delete, and the first invalid frame (a torn tail
-// from a crash, or corruption) ends the scan and is truncated away
-// with everything after it.
-func (d *diskStore) rebuild() error {
-	if _, err := d.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("frontier: spill log %s: %w", d.path, err)
+// replay applies the record at off to the index and spill heap.
+func (d *diskStore) replay(off int64, p []byte) error {
+	kind, url, due, prio, err := parseRecord(p)
+	if err != nil {
+		return err
 	}
-	r := bufio.NewReader(d.f)
-	var off int64
-	var hdr [recHeader]byte
-	torn := false
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			torn = err != io.EOF
-			break
+	size := uint32(seglog.HeaderLen + len(p))
+	d.seq++
+	fp := fpOf(url)
+	switch kind {
+	case recPut:
+		if ie, ok := d.index[fp]; ok {
+			d.deadBytes += int64(ie.size)
+			ie.off, ie.size, ie.seq = off, size, d.seq
+		} else {
+			d.index[fp] = &idxEnt{off: off, size: size, seq: d.seq}
 		}
-		plen := binary.LittleEndian.Uint32(hdr[:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if plen > maxRecord {
-			torn = true
-			break
+		d.spill = append(d.spill, spillItem{due: due, prio: prio, fp: fp, seq: d.seq})
+	case recTomb:
+		if ie, ok := d.index[fp]; ok {
+			d.deadBytes += int64(ie.size)
+			delete(d.index, fp)
 		}
-		p := make([]byte, plen)
-		if _, err := io.ReadFull(r, p); err != nil {
-			torn = true
-			break
-		}
-		if crc32.ChecksumIEEE(p) != crc {
-			torn = true
-			break
-		}
-		kind, url, due, prio, err := parseRecord(p)
-		if err != nil {
-			torn = true
-			break
-		}
-		size := uint32(recHeader + plen)
-		d.seq++
-		fp := fpOf(url)
-		switch kind {
-		case recPut:
-			if ie, ok := d.index[fp]; ok {
-				d.deadBytes += int64(ie.size)
-				ie.off, ie.size, ie.seq = off, size, d.seq
-			} else {
-				d.index[fp] = &idxEnt{off: off, size: size, seq: d.seq}
-			}
-			d.spill = append(d.spill, spillItem{due: due, prio: prio, fp: fp, seq: d.seq})
-		case recTomb:
-			if ie, ok := d.index[fp]; ok {
-				d.deadBytes += int64(ie.size)
-				delete(d.index, fp)
-			}
-			d.deadBytes += int64(size)
-		}
-		off += int64(size)
+		d.deadBytes += int64(size)
 	}
-	if torn {
-		if err := d.f.Truncate(off); err != nil {
-			return fmt.Errorf("frontier: spill log %s: truncating torn tail: %w", d.path, err)
-		}
-	}
-	d.wOff = off
-	heap.Init(&d.spill)
 	return nil
 }
 
@@ -303,22 +219,28 @@ func (d *diskStore) fatal(op string, err error) {
 }
 
 func (d *diskStore) flush() {
-	if !d.dirty {
+	if d.w.Buffered() == 0 {
 		return
 	}
 	if err := d.w.Flush(); err != nil {
 		d.fatal("flush", err)
 	}
-	d.dirty = false
 }
 
 // appendRecord writes one framed record, returning its offset and size.
 func (d *diskStore) appendRecord(kind byte, url string, due, prio float64) (int64, uint32) {
-	rec := appendRecordBuf(nil, kind, url, due, prio)
+	e := seglog.Enc{B: seglog.Reserve(make([]byte, 0, seglog.HeaderLen+len(url)+32))}
+	e.U8(kind).Str(url)
+	if kind == recPut {
+		e.F64(due).F64(prio)
+	}
+	rec := e.B
+	if err := seglog.Seal(rec); err != nil {
+		d.fatal("append", err)
+	}
 	if _, err := d.w.Write(rec); err != nil {
 		d.fatal("append", err)
 	}
-	d.dirty = true
 	off := d.wOff
 	d.wOff += int64(len(rec))
 	return off, uint32(len(rec))
@@ -327,16 +249,11 @@ func (d *diskStore) appendRecord(kind byte, url string, due, prio float64) (int6
 // readEntry loads the put record at (off, size) back into an Entry.
 func (d *diskStore) readEntry(off int64, size uint32) Entry {
 	d.flush()
-	buf := make([]byte, size)
-	if _, err := d.f.ReadAt(buf, off); err != nil {
+	p, err := seglog.ReadAt(d.f, off, int64(size))
+	if err != nil {
 		d.fatal("read", err)
 	}
-	plen := binary.LittleEndian.Uint32(buf[:4])
-	crc := binary.LittleEndian.Uint32(buf[4:8])
-	if int(plen) != len(buf)-recHeader || crc32.ChecksumIEEE(buf[recHeader:]) != crc {
-		d.fatal("read", fmt.Errorf("corrupt record at offset %d", off))
-	}
-	kind, url, due, prio, err := parseRecord(buf[recHeader:])
+	kind, url, due, prio, err := parseRecord(p)
 	if err != nil || kind != recPut {
 		d.fatal("read", fmt.Errorf("bad record at offset %d: %v", off, err))
 	}
@@ -499,13 +416,7 @@ func (d *diskStore) topN(n int) []Entry {
 // always current: puts are appended even for resident entries), so the
 // walk needs no URL map over the resident set.
 func (d *diskStore) each(fn func(Entry) error) error {
-	d.flush()
-	ents := make([]*idxEnt, 0, len(d.index))
-	for _, ie := range d.index {
-		ents = append(ents, ie)
-	}
-	sortIdxByOff(ents)
-	for _, ie := range ents {
+	for _, ie := range d.byOffset() {
 		if err := fn(d.readEntry(ie.off, ie.size)); err != nil {
 			return err
 		}
@@ -513,9 +424,15 @@ func (d *diskStore) each(fn func(Entry) error) error {
 	return nil
 }
 
-func sortIdxByOff(ents []*idxEnt) {
-	// Offsets are unique, so a simple sort suffices.
+// byOffset returns the index records in log order (offsets are
+// unique).
+func (d *diskStore) byOffset() []*idxEnt {
+	ents := make([]*idxEnt, 0, len(d.index))
+	for _, ie := range d.index {
+		ents = append(ents, ie)
+	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].off < ents[j].off })
+	return ents
 }
 
 func (d *diskStore) reset() {
@@ -523,10 +440,6 @@ func (d *diskStore) reset() {
 	if err := d.f.Truncate(0); err != nil {
 		d.fatal("truncate", err)
 	}
-	if _, err := d.f.Seek(0, io.SeekStart); err != nil {
-		d.fatal("seek", err)
-	}
-	d.w.Reset(d.f)
 	d.wOff = 0
 	d.seq = 0
 	d.deadBytes = 0
@@ -551,8 +464,8 @@ func (d *diskStore) tier() TierStats {
 	}
 }
 
-// maybeCompact rewrites the log down to its live records once dead
-// bytes pass a floor and outweigh the live ones. Offsets in the index
+// maybeCompact copies the log's live frames forward into a fresh log
+// once dead bytes pass a floor and outweigh the live ones. Offsets in the index
 // are rewritten; seqs (and with them the spill heap) are untouched.
 func (d *diskStore) maybeCompact() {
 	if d.deadBytes < compactMinDead || d.deadBytes <= d.wOff-d.deadBytes {
@@ -560,30 +473,16 @@ func (d *diskStore) maybeCompact() {
 	}
 	d.flush()
 	tmp := d.path + ".tmp"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		d.fatal("compact", err)
 	}
 	w := bufio.NewWriter(nf)
-	ents := make([]*idxEnt, 0, len(d.index))
-	for _, ie := range d.index {
-		ents = append(ents, ie)
-	}
-	sortIdxByOff(ents)
 	var off int64
-	buf := make([]byte, 0, 4096)
-	for _, ie := range ents {
-		if cap(buf) < int(ie.size) {
-			buf = make([]byte, ie.size)
-		}
-		buf = buf[:ie.size]
-		if _, err := d.f.ReadAt(buf, ie.off); err != nil {
+	for _, ie := range d.byOffset() {
+		if err := seglog.CopyAt(w, d.f, ie.off, int64(ie.size)); err != nil {
 			nf.Close()
-			d.fatal("compact read", err)
-		}
-		if _, err := w.Write(buf); err != nil {
-			nf.Close()
-			d.fatal("compact write", err)
+			d.fatal("compact copy", err)
 		}
 		ie.off = off
 		off += int64(ie.size)

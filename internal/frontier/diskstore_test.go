@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"webevolve/internal/seglog"
 	"webevolve/internal/webgraph"
 )
 
@@ -366,7 +367,7 @@ func TestDiskTierCompaction(t *testing.T) {
 	// Reschedules after the compaction keep appending, so the log is
 	// live records plus a sub-threshold tail — well under what an
 	// uncompacted log would hold.
-	full := int64(writes) * int64(recHeader+1+2+len(url(0))+16)
+	full := int64(writes) * int64(seglog.HeaderLen+1+2+len(url(0))+16)
 	if ts.SpillBytes > full*2/3 {
 		t.Fatalf("compacted log still %d bytes of %d written", ts.SpillBytes, full)
 	}
@@ -484,5 +485,40 @@ func TestStreamEntriesCoversQueue(t *testing.T) {
 				t.Fatalf("%s: entry %d: got %+v want %+v", tier, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestDiskTierResetRewritesFromStart: after a reset the log restarts at
+// offset zero — appends must not land past a hole where the truncated
+// records were.
+func TestDiskTierResetRewritesFromStart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.log")
+	d, err := openDiskStore(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		d.put(Entry{URL: fmt.Sprintf("http://site000.com/p%d", i), Due: float64(i)})
+	}
+	d.flush()
+	d.reset()
+	d.put(Entry{URL: "http://site000.com/after", Due: 1})
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(seglog.HeaderLen + 1 + 1 + len("http://site000.com/after") + 16); st.Size() != want {
+		t.Fatalf("log is %d bytes after reset and one put, want %d", st.Size(), want)
+	}
+	r, err := openDiskStore(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	if e, ok := r.head(); r.size() != 1 || !ok || e.URL != "http://site000.com/after" {
+		t.Fatalf("reopened %d entries, head %+v", r.size(), e)
 	}
 }

@@ -25,9 +25,10 @@ import (
 //
 //   - Pop order stays globally deterministic: PopDue and Pop always
 //     return the earliest-due entry across all ready shards, using the
-//     same (due, priority, URL) order as CollUrls. With a zero politeness
-//     gap the pop sequence is identical to a single CollUrls regardless
-//     of the shard count, which keeps simulated experiments reproducible.
+//     same (due, priority, URL) order as one entryHeap. With a zero
+//     politeness gap the pop sequence is identical to a single heap's
+//     regardless of the shard count, which keeps simulated experiments
+//     reproducible.
 //
 // Each shard's entries live behind a shardStore: fully in RAM by
 // default (NewSharded), or spilled to an append-only record log with

@@ -2,16 +2,16 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
+
+	"webevolve/internal/seglog"
 )
 
 // Disk is a log-structured on-disk Collection: records are appended to
@@ -30,29 +30,34 @@ import (
 // pinned reader releases it — a Get or Scan in flight across a Compact
 // always completes against the bytes it indexed.
 //
-// Crash tolerance: replay stops at the first invalid frame — torn OR
-// corrupt — and truncates the segment back to the last CRC-valid frame
-// (the same sweep the cluster WAL performs), so a crash that leaves
-// full-length garbage on the tail delays nothing more than the frames
-// that were never acknowledged.
+// Crash tolerance: a segment is a seglog log, and replay is seglog's
+// recovery sweep — it stops at the first invalid frame, torn OR
+// corrupt, and truncates the segment back to the last CRC-valid frame,
+// so a crash that leaves full-length garbage on the tail delays nothing
+// more than the frames that were never acknowledged.
 //
-// Frame layout (little endian):
-//
-//	crc32(keyLen ++ valLen ++ key ++ val) uint32
-//	keyLen uint32 | valLen uint32 (valLen == tombstoneLen means delete)
-//	key bytes | val bytes (JSON-encoded PageRecord)
+// Each frame's payload is a put (the PageRecord in the binary record
+// codec the store wire protocol uses too) or a tombstone; record.go has
+// the layout. Segments are named segment-NNNNNN.seg. A segment-*.log
+// file holds an earlier build's format (a 12-byte header and JSON
+// records): OpenDisk refuses its directory and leaves the file as it
+// is.
 type Disk struct {
 	mu      sync.Mutex
 	dir     string
-	segID   int   // active segment, append-only
-	segOff  int64 // flushed+buffered size of the active segment
-	w       *bufio.Writer
+	segID   int              // active segment, append-only
+	segOff  int64            // size of the active segment
+	active  *os.File         // the active segment's handle, appended to
 	segs    map[int]*segment // all live segments, the active one included
 	index   map[string]diskPos
 	live    int // live records
 	garbage int // superseded/tombstone frames
 	closed  bool
 	openFDs int // segments currently holding an open handle
+	// broken is the first failed append. The segment may end in part of
+	// a frame, and appends after it would be indexed at wrong offsets,
+	// so every later write fails; reopening sweeps the partial frame.
+	broken error
 
 	// MaxSegmentBytes bounds a segment before rolling to a new one.
 	maxSegmentBytes int64
@@ -62,9 +67,10 @@ type Disk struct {
 	maxOpenSegments int
 }
 
+// diskPos locates one record frame: its segment, offset and length.
 type diskPos struct {
-	seg int
-	off int64
+	seg    int
+	off, n int64
 }
 
 // segment is one segment file and its shared read handle. refs counts
@@ -81,11 +87,10 @@ type segment struct {
 	remove  bool // unlink once released (compacted away)
 }
 
-const tombstoneLen = ^uint32(0)
-
 // OpenDisk opens (or creates) a disk collection in dir. A torn or
 // corrupt tail left by a crash is truncated back to the last CRC-valid
-// frame; it never fails the open.
+// frame; it never fails the open. A directory holding a segment of an
+// earlier build's format fails it, and that segment is left untouched.
 func OpenDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -130,10 +135,13 @@ func (d *Disk) closeSegsLocked() {
 	}
 }
 
-func segmentPath(dir string, id int) string {
-	return filepath.Join(dir, fmt.Sprintf("segment-%06d.log", id))
-}
+func segmentName(id int) string { return fmt.Sprintf("segment-%06d.seg", id) }
 
+func segmentPath(dir string, id int) string { return filepath.Join(dir, segmentName(id)) }
+
+// segmentIDs lists the segments in dir, ascending. A name counts only
+// if segmentName gives it back exactly; an earlier build's segment-*.log
+// is an error, so its records are never swept as corrupt frames.
 func segmentIDs(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -141,8 +149,13 @@ func segmentIDs(dir string) ([]int, error) {
 	}
 	var ids []int
 	for _, e := range entries {
-		var id int
-		if n, _ := fmt.Sscanf(e.Name(), "segment-%06d.log", &id); n == 1 {
+		name := e.Name()
+		if strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".log") {
+			return nil, fmt.Errorf("store: %s is a segment of an earlier build's record format; this build reads only segment-*.seg",
+				filepath.Join(dir, name))
+		}
+		digits := strings.TrimSuffix(strings.TrimPrefix(name, "segment-"), ".seg")
+		if id, err := strconv.Atoi(digits); err == nil && segmentName(id) == name {
 			ids = append(ids, id)
 		}
 	}
@@ -168,189 +181,60 @@ func (d *Disk) openSegment(id int) error {
 	storeSegmentOpens.Inc()
 	d.segID = id
 	d.segOff = st.Size()
-	d.w = bufio.NewWriter(f)
+	d.active = f
 	d.evictColdLocked()
 	return nil
 }
 
-// replay scans one segment, updating the index, and keeps the file open
-// as the segment's read handle. The first invalid frame — a truncated
-// final frame (torn write) or a full-length frame failing its CRC (a
-// crash through garbage in the page cache) — ends the replay and the
-// file is truncated back to the last valid frame, like the cluster WAL:
-// in the crash case those frames were never acknowledged, so dropping
-// them loses nothing a caller was promised. (Mid-file bit rot is
-// indistinguishable from a crashed tail at read time and gets the same
-// sweep — the WAL discipline trades the rest of that one segment for
-// never refusing to open; later segments still replay.) A real read
-// I/O error is different: the bytes may be fine, so the open fails
-// loudly instead of truncating.
+// replay scans one segment with seglog's recovery sweep, updating the
+// index, and keeps the file open as the segment's read handle. A torn
+// or corrupt tail is truncated away: in the crash case those frames
+// were never acknowledged, so dropping them loses nothing a caller was
+// promised. (Mid-file bit rot reads the same and gets the same sweep,
+// trading the rest of that one segment for never refusing to open;
+// later segments still replay.) A real read error fails the open
+// instead, since the bytes may be fine.
 func (d *Disk) replay(id int) error {
 	f, err := os.OpenFile(segmentPath(d.dir, id), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	r := bufio.NewReader(f)
-	var off int64 // end of the last valid frame
-	for {
-		key, val, frameLen, err := readFrame(r)
-		if err == io.EOF {
-			break
-		}
+	_, swept, err := seglog.Recover(f, func(off int64, p []byte) error {
+		url, tomb, err := frameKey(p)
 		if err != nil {
-			if !errors.Is(err, errTornFrame) && !errors.Is(err, errCorruptFrame) {
-				f.Close()
-				return fmt.Errorf("store: segment %d offset %d: %w", id, off, err)
-			}
-			// Torn or corrupt tail: sweep back to the last valid frame.
-			if terr := f.Truncate(off); terr != nil {
-				f.Close()
-				return fmt.Errorf("store: segment %d: sweeping corrupt tail: %w", id, terr)
-			}
-			storeTornTails.Inc()
-			break
+			return err
 		}
 		storeReplayedFrames.Inc()
-		if val == nil { // tombstone
-			if _, ok := d.index[key]; ok {
-				delete(d.index, key)
-				d.live--
-				d.garbage++ // the superseded record
-			}
-			d.garbage++ // the tombstone itself
-		} else {
-			if _, ok := d.index[key]; ok {
+		_, had := d.index[url]
+		switch {
+		case tomb && had:
+			delete(d.index, url)
+			d.live--
+			d.garbage += 2 // the superseded record and the tombstone
+		case tomb:
+			d.garbage++
+		default:
+			if had {
 				d.garbage++
 			} else {
 				d.live++
 			}
-			d.index[key] = diskPos{seg: id, off: off}
+			d.index[url] = diskPos{seg: id, off: off, n: seglog.HeaderLen + int64(len(p))}
 		}
-		off += frameLen
+		return nil
+	})
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("store: segment %d: %w", id, err)
+	}
+	if swept {
+		storeTornTails.Inc()
 	}
 	d.segs[id] = &segment{id: id, f: f}
 	d.openFDs++
 	storeSegmentOpens.Inc()
 	d.evictColdLocked()
 	return nil
-}
-
-var (
-	errTornFrame    = errors.New("store: torn frame")
-	errCorruptFrame = errors.New("store: corrupt frame")
-)
-
-// readShort maps a short read during a frame: running out of bytes is
-// a torn frame (sweepable), any other failure is a real I/O error that
-// must fail the open rather than truncate data that may still be fine.
-func readShort(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return errTornFrame
-	}
-	return fmt.Errorf("store: %w", err)
-}
-
-func readFrame(r *bufio.Reader) (key string, val []byte, frameLen int64, err error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return "", nil, 0, io.EOF
-		}
-		return "", nil, 0, readShort(err)
-	}
-	crc := binary.LittleEndian.Uint32(hdr[0:4])
-	keyLen := binary.LittleEndian.Uint32(hdr[4:8])
-	valLen := binary.LittleEndian.Uint32(hdr[8:12])
-	if keyLen > 1<<20 {
-		return "", nil, 0, fmt.Errorf("%w: absurd key length", errCorruptFrame)
-	}
-	kb := make([]byte, keyLen)
-	if _, err := io.ReadFull(r, kb); err != nil {
-		return "", nil, 0, readShort(err)
-	}
-	var vb []byte
-	tomb := valLen == tombstoneLen
-	if !tomb {
-		if valLen > 1<<30 {
-			return "", nil, 0, fmt.Errorf("%w: absurd value length", errCorruptFrame)
-		}
-		vb = make([]byte, valLen)
-		if _, err := io.ReadFull(r, vb); err != nil {
-			return "", nil, 0, readShort(err)
-		}
-	}
-	h := crc32.NewIEEE()
-	_, _ = h.Write(hdr[4:12])
-	_, _ = h.Write(kb)
-	_, _ = h.Write(vb)
-	if h.Sum32() != crc {
-		return "", nil, 0, fmt.Errorf("%w: checksum mismatch", errCorruptFrame)
-	}
-	fl := int64(12) + int64(keyLen)
-	if !tomb {
-		fl += int64(valLen)
-	}
-	return string(kb), vb, fl, nil
-}
-
-// readValueAt reads one record frame's value through the segment's
-// shared handle with positioned reads, verifying the CRC. The offset
-// must be a frame boundary the index produced, so a tombstone or a
-// failed checksum here means corruption (or a reader outliving its
-// pin — a bug).
-func readValueAt(f *os.File, off int64) ([]byte, error) {
-	var hdr [12]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	crc := binary.LittleEndian.Uint32(hdr[0:4])
-	keyLen := binary.LittleEndian.Uint32(hdr[4:8])
-	valLen := binary.LittleEndian.Uint32(hdr[8:12])
-	if keyLen > 1<<20 || valLen == tombstoneLen || valLen > 1<<30 {
-		return nil, errors.New("store: corrupt frame at indexed offset")
-	}
-	buf := make([]byte, int(keyLen)+int(valLen))
-	if _, err := f.ReadAt(buf, off+12); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	h := crc32.NewIEEE()
-	_, _ = h.Write(hdr[4:12])
-	_, _ = h.Write(buf)
-	if h.Sum32() != crc {
-		return nil, errors.New("store: checksum mismatch (corrupt frame)")
-	}
-	return buf[keyLen:], nil
-}
-
-func appendFrame(w io.Writer, key string, val []byte, tomb bool) (int64, error) {
-	var hdr [12]byte
-	valLen := uint32(len(val))
-	if tomb {
-		valLen = tombstoneLen
-	}
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[8:12], valLen)
-	h := crc32.NewIEEE()
-	_, _ = h.Write(hdr[4:12])
-	_, _ = h.Write([]byte(key))
-	if !tomb {
-		_, _ = h.Write(val)
-	}
-	binary.LittleEndian.PutUint32(hdr[0:4], h.Sum32())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write([]byte(key)); err != nil {
-		return 0, err
-	}
-	n := int64(12 + len(key))
-	if !tomb {
-		if _, err := w.Write(val); err != nil {
-			return 0, err
-		}
-		n += int64(len(val))
-	}
-	return n, nil
 }
 
 // acquireLocked pins the segment against retirement, reopening an
@@ -468,47 +352,46 @@ func (d *Disk) Put(rec PageRecord) error {
 	return d.PutBatch([]PageRecord{rec})
 }
 
-// PutBatch implements Collection: all records are framed under one lock
-// acquisition and flushed to the segment once, so a crawl engine writing
-// page batches pays one fsync-sized flush per batch instead of per page.
-// Segment rolling and compaction are evaluated once after the batch, so
-// the active segment may briefly overshoot its size bound by one batch.
+// PutBatch implements Collection: all records are framed before the
+// lock is taken (ends[i] is where record i's frame ends in buf) and
+// written to the segment in one write, so a crawl engine writing page
+// batches pays one write per batch instead of per page. Segment rolling
+// and compaction are evaluated once after the batch, so the active
+// segment may briefly overshoot its size bound by one batch.
 func (d *Disk) PutBatch(recs []PageRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	vals := make([][]byte, len(recs))
+	var buf []byte
+	ends := make([]int, len(recs))
 	for i, rec := range recs {
 		if rec.URL == "" {
 			return errors.New("store: empty URL")
 		}
-		val, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
+		var err error
+		if buf, err = appendFrame(buf, rec, false); err != nil {
+			return err
 		}
-		vals[i] = val
+		ends[i] = len(buf)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
+	off := d.segOff
+	if err := d.appendLocked(buf); err != nil {
+		return err
+	}
+	prev := 0
 	for i, rec := range recs {
-		off := d.segOff
-		n, err := appendFrame(d.w, rec.URL, vals[i], false)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
 		if _, ok := d.index[rec.URL]; ok {
 			d.garbage++
 		} else {
 			d.live++
 		}
-		d.index[rec.URL] = diskPos{seg: d.segID, off: off}
-		d.segOff += n
-	}
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
+		d.index[rec.URL] = diskPos{seg: d.segID, off: off + int64(prev), n: int64(ends[i] - prev)}
+		prev = ends[i]
 	}
 	storePuts.Add(int64(len(recs)))
 	return d.maybeRollLocked()
@@ -535,19 +418,25 @@ func (d *Disk) Get(url string) (PageRecord, bool, error) {
 	}
 	defer d.release(s)
 	storeGets.Inc()
-	return decodeValueAt(s.f, pos.off)
-}
-
-func decodeValueAt(f *os.File, off int64) (PageRecord, bool, error) {
-	val, err := readValueAt(f, off)
+	rec, err := readRecord(s.f, pos)
 	if err != nil {
 		return PageRecord{}, false, err
 	}
-	var rec PageRecord
-	if err := json.Unmarshal(val, &rec); err != nil {
-		return PageRecord{}, false, fmt.Errorf("store: %w", err)
-	}
 	return rec, true, nil
+}
+
+// appendLocked writes framed records to the active segment in one
+// write, so every record is in the file before the call returns.
+func (d *Disk) appendLocked(buf []byte) error {
+	if d.broken != nil {
+		return d.broken
+	}
+	if _, err := d.active.Write(buf); err != nil {
+		d.broken = fmt.Errorf("store: %w", err)
+		return d.broken
+	}
+	d.segOff += int64(len(buf))
+	return nil
 }
 
 // Delete implements Collection.
@@ -560,17 +449,16 @@ func (d *Disk) Delete(url string) error {
 	if _, ok := d.index[url]; !ok {
 		return nil
 	}
-	n, err := appendFrame(d.w, url, nil, true)
+	buf, err := appendFrame(nil, PageRecord{URL: url}, true)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err := d.appendLocked(buf); err != nil {
+		return err
 	}
 	delete(d.index, url)
 	d.live--
 	d.garbage += 2 // superseded record + tombstone
-	d.segOff += n
 	storeDeletes.Inc()
 	return d.maybeRollLocked()
 }
@@ -579,9 +467,6 @@ func (d *Disk) Delete(url string) error {
 // compacts when garbage dominates.
 func (d *Disk) maybeRollLocked() error {
 	if d.segOff >= d.maxSegmentBytes {
-		if err := d.w.Flush(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
 		// The filled segment stays open as a read handle; only the
 		// writer moves on.
 		if err := d.openSegment(d.segID + 1); err != nil {
@@ -596,14 +481,11 @@ func (d *Disk) maybeRollLocked() error {
 }
 
 // compactLocked rewrites all live records into a fresh segment and
-// retires the old ones. Raw value bytes are copied frame to frame — no
+// retires the old ones. Frames are copied forward whole by seglog — no
 // decode/re-encode round trip. Old segments whose handles are pinned by
 // in-flight readers stay readable until those readers release them;
 // their files are unlinked at the last release.
 func (d *Disk) compactLocked() error {
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	old := make([]*segment, 0, len(d.segs))
 	for _, s := range d.segs {
 		old = append(old, s)
@@ -612,32 +494,33 @@ func (d *Disk) compactLocked() error {
 		return err
 	}
 	newID := d.segID
+	w := bufio.NewWriter(d.active)
 	urls := make([]string, 0, len(d.index))
 	for u := range d.index {
 		urls = append(urls, u)
 	}
 	sort.Strings(urls)
+	// A failed copy leaves the new segment short of segOff: poison the
+	// store like a failed append.
+	fail := func(err error) error {
+		d.broken = err
+		return err
+	}
 	newIndex := make(map[string]diskPos, len(urls))
 	for _, u := range urls {
 		pos := d.index[u]
 		src := d.segs[pos.seg]
 		if err := d.ensureOpenLocked(src); err != nil {
-			return err
+			return fail(err)
 		}
-		val, err := readValueAt(src.f, pos.off)
-		if err != nil {
-			return err
+		if err := seglog.CopyAt(w, src.f, pos.off, pos.n); err != nil {
+			return fail(fmt.Errorf("store: segment %d: %w", pos.seg, err))
 		}
-		off := d.segOff
-		n, err := appendFrame(d.w, u, val, false)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		d.segOff += n
-		newIndex[u] = diskPos{seg: newID, off: off}
+		newIndex[u] = diskPos{seg: newID, off: d.segOff, n: pos.n}
+		d.segOff += pos.n
 	}
-	if err := d.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err := w.Flush(); err != nil {
+		return fail(fmt.Errorf("store: %w", err))
 	}
 	d.index = newIndex
 	d.live = len(newIndex)
@@ -741,13 +624,10 @@ func (d *Disk) ScanFrom(after string, fn func(PageRecord) bool) error {
 	}()
 	var err error
 	visitAscending(items, func(a, b item) bool { return a.url < b.url }, func(it item) bool {
-		rec, ok, derr := decodeValueAt(pinned[it.pos.seg].f, it.pos.off)
+		rec, derr := readRecord(pinned[it.pos.seg].f, it.pos)
 		if derr != nil {
 			err = derr
 			return false
-		}
-		if !ok {
-			return true
 		}
 		return fn(rec)
 	})
@@ -783,10 +663,7 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
-	err := d.w.Flush()
-	if err != nil {
-		err = fmt.Errorf("store: %w", err)
-	}
+	var err error
 	for _, s := range d.segs {
 		if rerr := d.retireLocked(s, false); rerr != nil && err == nil {
 			err = rerr

@@ -239,7 +239,7 @@ func TestDiskTornFinalFrameIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: add garbage half-frame bytes.
-	seg := filepath.Join(dir, "segment-000001.log")
+	seg := segmentPath(dir, 1)
 	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
